@@ -40,6 +40,10 @@ BRANCH_PROB_FLOOR = 1e-12
 #: Allowed residual in the Kraus completeness relation.
 COMPLETENESS_ATOL = 1e-10
 
+#: Most measurement branches per family, checked before the Kraus set (whose
+#: size grows with the branch count) is drawn.
+MAX_BRANCHES = 1024
+
 
 @dataclass
 class LgmCcFamily:
@@ -84,6 +88,11 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, check_tag, trial])
 
 
+def _check_branches(branches: int) -> None:
+    if not 1 <= branches <= MAX_BRANCHES:
+        raise ValueError(f"branches must lie in [1, {MAX_BRANCHES}], got {branches}")
+
+
 def _random_kraus_set(gen: np.random.Generator, branches: int) -> list[np.ndarray]:
     # The 2x2 blocks of a random isometry C^2 -> C^(2*branches) form a
     # complete Kraus set; for branches == 1 completeness forces unitarity.
@@ -104,8 +113,7 @@ def sample_lgm_cc(rng, branches: int) -> LgmCcFamily:
     ``rng`` is an integer seed or a ``numpy.random.Generator``; the result
     is deterministic for a given seed.
     """
-    if branches < 1:
-        raise ValueError(f"branches must be >= 1, got {branches}")
+    _check_branches(branches)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     measuring = _random_kraus_set(gen, branches)
     conditional = [random_local_unitary(gen) for _ in range(branches)]
@@ -163,6 +171,7 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     """C3: the branch-averaged measure never exceeds the input's measure."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_branches(branches)
     worst = 0.0
     skipped = 0
     for t in range(trials):

@@ -37,6 +37,10 @@ from .teleport import (
 #: A sweep exits 0 only if every checked closed-vs-simulated gap is below this.
 DISCREPANCY_TOL = 1e-8
 
+#: Largest ``count`` accepted in a ``start:stop:count`` range, checked before
+#: the values are allocated.
+MAX_RANGE_COUNT = 10_000
+
 DEFAULT_E0_GRID = tuple(round(0.1 * i, 10) for i in range(11))
 DEFAULT_PHI_GRID = tuple(-1.0 + 0.25 * i for i in range(9))
 
@@ -80,8 +84,8 @@ def parse_values(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError(f"range count must be >= 1, got {count}")
+        if not 1 <= count <= MAX_RANGE_COUNT:
+            raise ValueError(f"range count must lie in [1, {MAX_RANGE_COUNT}], got {count}")
         return [float(x) for x in np.linspace(start, stop, count)]
     values = [float(tok) for tok in s.split(",") if tok.strip()]
     if not values:
@@ -284,9 +288,11 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
     """Run the axiom suite, the oracle grids and the Werner fixtures."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # C3 runs first so that a bad branch count fails before C1 and C2 run;
+    # every trial seeds its own generator, so the order changes no result.
+    c3 = check_c3(trials, branches, seed)
     c1 = check_c1(trials, seed)
     c2 = check_c2(trials, seed)
-    c3 = check_c3(trials, branches, seed)
     checks = [
         {
             "name": f"axiom_{r.condition.lower()}",
@@ -327,8 +333,6 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
 
 def cmd_curve(points: int, out_path: str) -> int:
     """Write the entropy-vs-negativity curve as CSV with columns e, s."""
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
     curve = entropy_vs_negativity_curve(points)
     try:
         with open(out_path, "w", newline="") as handle:

@@ -19,10 +19,21 @@ from .states import seed_state
 
 #: Partial-transpose eigenvalues above this are treated as non-negative,
 #: so roundoff on exactly separable states cannot fake entanglement.
-NEGATIVE_EIG_THRESHOLD = -1e-10
+#: The bound follows from the scale of the problem: the partial transpose of
+#: a unit-trace 4x4 state has spectral norm at most 1 (it is a convex sum of
+#: partial transposes of pure states, whose eigenvalues lie in [-1/2, 1]),
+#: and ``eigvalsh`` is backward stable, with an error of a small multiple of
+#: ``n * eps * ||A||``.  With n = 4, 64 eps = 16 n eps covers that error and
+#: the roundoff already in the state; every negative eigenvalue below about
+#: -1.4e-14 is kept, so no negativity above 3e-14 reads as zero.
+NEGATIVE_EIG_THRESHOLD = -64 * np.finfo(float).eps
 
 #: Purity slack accepted when a pure state is required.
 PURITY_ATOL = 1e-8
+
+#: Most points :func:`entropy_vs_negativity_curve` samples, checked before
+#: the sample grid is allocated.
+MAX_CURVE_POINTS = 100_000
 
 
 @dataclass
@@ -40,7 +51,11 @@ def negativity(rho: np.ndarray) -> EntanglementReport:
     are collected; the measure is minus twice their sum, clamped to [0, 1].
     Zero if and only if the state is separable.
     """
-    rho = check_density_matrix(rho, dim=4)
+    return _negativity(check_density_matrix(rho, dim=4))
+
+
+def _negativity(rho: np.ndarray) -> EntanglementReport:
+    """:func:`negativity` of an already validated density matrix."""
     eigs = herm_eigvals(partial_transpose(rho))
     negative = [float(w) for w in eigs if w < NEGATIVE_EIG_THRESHOLD]
     value = -2.0 * sum(negative)
@@ -69,8 +84,8 @@ def entropy_vs_negativity_curve(points: int) -> list[tuple[float, float]]:
     entropy is evaluated on the canonical pure state with that negativity.
     The sequence runs from (0, 0) to (1, 1) and is strictly increasing.
     """
-    if points < 2:
-        raise ValueError(f"need at least 2 points, got {points}")
+    if not 2 <= points <= MAX_CURVE_POINTS:
+        raise ValueError(f"points must lie in [2, {MAX_CURVE_POINTS}], got {points}")
     curve = []
     for e in np.linspace(0.0, 1.0, points):
         curve.append((float(e), entropy_of_entanglement(seed_state(float(e)))))

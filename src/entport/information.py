@@ -73,8 +73,11 @@ def total_information(rho: np.ndarray) -> float:
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 density matrix, got {rho.shape}")
     rho = check_density_matrix(rho, dim=rho.shape[0])
-    p = purity(rho)
-    if rho.shape[0] == 2:
+    return _information_from_purity(purity(rho), rho.shape[0])
+
+
+def _information_from_purity(p: float, dim: int) -> float:
+    if dim == 2:
         return max(0.0, 2.0 * p - 1.0)
     return max(0.0, (2.0 / 3.0) * (4.0 * p - 1.0))
 
@@ -86,10 +89,14 @@ def information_decomposition(rho: np.ndarray) -> InformationReport:
     states; the correlation term is the total minus the information of the
     product of the reduced states.
     """
-    rho = check_density_matrix(rho, dim=4)
-    total = total_information(rho)
-    ia = total_information(partial_trace(rho, keep=0))
-    ib = total_information(partial_trace(rho, keep=1))
+    return _information_decomposition(check_density_matrix(rho, dim=4))
+
+
+def _information_decomposition(rho: np.ndarray) -> InformationReport:
+    """:func:`information_decomposition` of an already validated density matrix."""
+    total = _information_from_purity(purity(rho), 4)
+    ia = _information_from_purity(purity(partial_trace(rho, keep=0)), 2)
+    ib = _information_from_purity(purity(partial_trace(rho, keep=1)), 2)
     correlation = total - (2.0 / 3.0) * (ia + ib + ia * ib)
     if abs(correlation) < CORRELATION_CLAMP:
         correlation = 0.0

@@ -62,7 +62,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"tensor product of dims {a.shape[0]} x {b.shape[0]} is outside the "
             "supported composite dimensions (4, 16)"
         )
-    return np.kron(a, b)
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices, without argument checks.
+
+    The same broadcast product that ``np.kron`` forms, so the result is
+    bit-for-bit equal to it, without its Python-level ``expand_dims`` calls.
+    """
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:

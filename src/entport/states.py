@@ -15,21 +15,32 @@ import numpy as np
 
 from .matkernel import HERMITICITY_ATOL, adjoint, as_operator, tensor
 
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+ID2 = _read_only(np.eye(2, dtype=complex))
+SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 
 #: Pauli matrices in project-wide axis order (x, y, z).
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+#: Pauli-product basis of two-qubit operators, built once and read-only:
+#: ``PAULI_A[n] = sigma_n (x) 1``, ``PAULI_B[n] = 1 (x) sigma_n`` and
+#: ``PAULI_AB[n][m] = sigma_n (x) sigma_m``.
+PAULI_A = tuple(_read_only(np.kron(p, ID2)) for p in PAULIS)
+PAULI_B = tuple(_read_only(np.kron(ID2, p)) for p in PAULIS)
+PAULI_AB = tuple(tuple(_read_only(np.kron(pn, pm)) for pm in PAULIS) for pn in PAULIS)
+
 #: Sign patterns of the four Bell projectors in the Pauli expansion.
 #: Index 0 is the singlet; 1, 2, 3 are the remaining Bell states.
-BELL_SIGN_MATRICES = (
-    np.diag([-1.0, -1.0, -1.0]),
-    np.diag([-1.0, 1.0, 1.0]),
-    np.diag([1.0, -1.0, 1.0]),
-    np.diag([1.0, 1.0, -1.0]),
+BELL_SIGN_MATRICES = tuple(
+    _read_only(np.diag(signs))
+    for signs in ([-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0])
 )
 
 #: Receiver-side correction unitary for each Bell outcome, chosen so the
@@ -164,11 +175,11 @@ def hs_compose(form: HilbertSchmidtForm) -> np.ndarray:
     """
     rho = np.eye(4, dtype=complex)
     for n in range(3):
-        rho += form.a[n] * np.kron(PAULIS[n], ID2)
-        rho += form.b[n] * np.kron(ID2, PAULIS[n])
+        rho += form.a[n] * PAULI_A[n]
+        rho += form.b[n] * PAULI_B[n]
         for m in range(3):
             if form.c[n, m] != 0.0:
-                rho += form.c[n, m] * np.kron(PAULIS[n], PAULIS[m])
+                rho += form.c[n, m] * PAULI_AB[n][m]
     return rho / 4.0
 
 
@@ -184,12 +195,9 @@ def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
         raise ValueError("matrix must be Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("matrix must have unit trace")
-    a = np.array([np.trace(rho @ np.kron(p, ID2)).real for p in PAULIS])
-    b = np.array([np.trace(rho @ np.kron(ID2, p)).real for p in PAULIS])
-    c = np.array(
-        [[np.trace(rho @ np.kron(PAULIS[n], PAULIS[m])).real for m in range(3)]
-         for n in range(3)]
-    )
+    a = np.array([np.trace(rho @ p).real for p in PAULI_A])
+    b = np.array([np.trace(rho @ p).real for p in PAULI_B])
+    c = np.array([[np.trace(rho @ p).real for p in row] for row in PAULI_AB])
     return HilbertSchmidtForm(a=a, b=b, c=c)
 
 
@@ -243,12 +251,18 @@ def werner_state(phi: float) -> np.ndarray:
     return hs_compose(HilbertSchmidtForm(a=np.zeros(3), b=np.zeros(3), c=c))
 
 
+#: The four Bell projectors, built once and read-only; index 0 is the singlet.
+_BELL_PROJECTORS = tuple(
+    _read_only(hs_compose(HilbertSchmidtForm(a=np.zeros(3), b=np.zeros(3), c=signs)))
+    for signs in BELL_SIGN_MATRICES
+)
+
+
 def bell_projector(alpha: int) -> np.ndarray:
-    """Rank-1 projector onto Bell state ``alpha`` (0 is the singlet)."""
+    """Rank-1 projector onto Bell state ``alpha`` (0 is the singlet), as a fresh copy."""
     if alpha not in (0, 1, 2, 3):
         raise ValueError(f"alpha must be in 0..3, got {alpha}")
-    zero = np.zeros(3)
-    return hs_compose(HilbertSchmidtForm(a=zero, b=zero, c=BELL_SIGN_MATRICES[alpha]))
+    return _BELL_PROJECTORS[alpha].copy()
 
 
 def rotation_from_unitary(u: np.ndarray) -> np.ndarray:

@@ -17,19 +17,20 @@ simulation to near machine precision (the test suite enforces this).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import negativity
-from .information import InformationReport, information_decomposition
-from .matkernel import adjoint, check_density_matrix
+from .entanglement import _negativity
+from .information import InformationReport, _information_decomposition
+from .matkernel import _kron, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
     HilbertSchmidtForm,
     WernerChannel,
     _check_unitary,
+    _read_only,
     bell_projector,
 )
 
@@ -40,21 +41,36 @@ OUTCOME_PROB_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class BobStrategy:
-    """The receiver's correction unitary for each of the four Bell outcomes."""
+    """The receiver's correction unitary for each of the four Bell outcomes.
+
+    The corrections are stored as read-only copies, and
+    ``operators[alpha]`` is the read-only 16x16 operator
+    ``1 (x) P_alpha (x) U_alpha`` on particles (1, 2, 3, 4), built once from
+    them when the strategy is created.
+    """
 
     corrections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    operators: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.corrections) != 4:
             raise ValueError("a strategy needs exactly 4 correction unitaries")
-        object.__setattr__(
-            self, "corrections", tuple(_check_unitary(u) for u in self.corrections)
+        corrections = tuple(_read_only(_check_unitary(u).copy()) for u in self.corrections)
+        operators = tuple(
+            _read_only(np.kron(np.kron(ID2, bell_projector(alpha)), u))
+            for alpha, u in enumerate(corrections)
         )
+        object.__setattr__(self, "corrections", corrections)
+        object.__setattr__(self, "operators", operators)
 
 
 def optimal_strategy() -> BobStrategy:
     """The fidelity-maximising strategy: identity, sigma_x, sigma_y, sigma_z."""
-    return BobStrategy(corrections=tuple(u.copy() for u in BOB_CORRECTIONS))
+    return BobStrategy(corrections=BOB_CORRECTIONS)
+
+
+#: The strategy :func:`simulate` uses when none is given.
+_OPTIMAL_STRATEGY = optimal_strategy()
 
 
 @dataclass
@@ -90,11 +106,10 @@ def _run_protocol(
     instead of a normalised conditional state (cannot happen with a Werner
     channel, whose outcomes are all equally likely).
     """
-    big = np.kron(rho12, channel_state)  # particle order (1, 2, 3, 4)
+    big = _kron(rho12, channel_state)  # particle order (1, 2, 3, 4)
     probabilities = np.empty(4)
     final_states: list[np.ndarray | None] = []
-    for alpha in range(4):
-        op = np.kron(np.kron(ID2, bell_projector(alpha)), strategy.corrections[alpha])
+    for alpha, op in enumerate(strategy.operators):
         conditioned = op @ big @ adjoint(op)
         p = float(np.trace(conditioned).real)
         probabilities[alpha] = p
@@ -116,13 +131,14 @@ def simulate(
     Bell projector on particles (2, 3) and the correction on particle 4,
     reads each outcome probability off the trace, and traces out particles
     (2, 3).  Entanglement and information of the final state are evaluated
-    on the outcome-averaged state.
+    on the outcome-averaged state, which is not validated again: it is built
+    from the validated ``rho12``.
     """
     rho12 = check_density_matrix(rho12, dim=4)
     if not isinstance(channel, WernerChannel):
         raise ValueError("channel must be a WernerChannel")
     if strategy is None:
-        strategy = optimal_strategy()
+        strategy = _OPTIMAL_STRATEGY
 
     probabilities, final_states = _run_protocol(rho12, channel.state(), strategy)
     kept = [(p, s) for p, s in zip(probabilities, final_states) if s is not None]
@@ -136,8 +152,8 @@ def simulate(
         final_states=final_states,
         final_state=averaged,
         averaged_fidelity=fidelity,
-        final_entanglement=negativity(averaged).value,
-        final_information=information_decomposition(averaged),
+        final_entanglement=_negativity(averaged).value,
+        final_information=_information_decomposition(averaged),
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from entport.axioms import (
     AXIOM_TOL,
+    MAX_BRANCHES,
     AxiomReport,
     LgmCcFamily,
     check_c1,
@@ -100,6 +101,12 @@ class TestConditionChecks:
             check_c2(-5, SEED)
         with pytest.raises(ValueError):
             check_c3(0, 2, SEED)
+
+    def test_reject_branches_over_the_cap(self):
+        with pytest.raises(ValueError):
+            sample_lgm_cc(SEED, MAX_BRANCHES + 1)
+        with pytest.raises(ValueError):
+            check_c3(1, MAX_BRANCHES + 1, SEED)
 
 
 def test_projective_measurement_destroys_bell_entanglement():

@@ -2,12 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from entport.cli import (
     DEFAULT_E0_GRID,
     DEFAULT_PHI_GRID,
+    MAX_RANGE_COUNT,
     SWEEP_COLUMNS,
     SweepGrid,
     cmd_curve,
@@ -40,6 +42,17 @@ class TestParseValues:
             parse_values("0:1:0")
         with pytest.raises(ValueError):
             parse_values("")
+
+    def test_range_count_is_capped_before_allocating(self):
+        assert len(parse_values(f"0:1:{MAX_RANGE_COUNT}")) == MAX_RANGE_COUNT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                parse_values("0:1:1000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
 
 class TestSweepGrid:
@@ -218,6 +231,14 @@ class TestMain:
         assert main(["sweep", "--e0", "2.0", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["sweep", "--e0", "0:1", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["curve", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_sizes_over_a_cap_are_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["sweep", "--e0", "0:1:1000000", "--out", str(out)]) == 2
+        assert main(["curve", "--points", "1000000", "--out", str(out)]) == 2
+        assert main(["verify", "--trials", "1", "--branches", "1000000", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("error:") == 3
 
     def test_missing_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entport.entanglement import (
+    MAX_CURVE_POINTS,
     EntanglementReport,
     entropy_of_entanglement,
     entropy_vs_negativity_curve,
@@ -35,6 +36,12 @@ def binary_entropy(p):
 
 
 class TestNegativity:
+    @pytest.mark.parametrize("c0", [1e-12, 1e-11, 5e-11, 1e-10, 1.9e-10])
+    def test_tiny_entanglement_is_not_dropped(self, c0):
+        # The partial transpose of seed_state(c0) has the eigenvalue -c0/2;
+        # no entanglement, however small, may read as zero.
+        assert abs(negativity(seed_state(c0)).value - c0) <= 1e-14
+
     def test_werner_singlet_is_maximal(self):
         assert negativity(werner_state(1.0)).value == pytest.approx(1.0, abs=1e-12)
 
@@ -139,3 +146,7 @@ class TestCurve:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             entropy_vs_negativity_curve(1)
+
+    def test_rejects_too_many_points(self):
+        with pytest.raises(ValueError):
+            entropy_vs_negativity_curve(MAX_CURVE_POINTS + 1)

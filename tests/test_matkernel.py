@@ -94,6 +94,14 @@ class TestTensor:
         flat = np.kron(ops[0], np.kron(ops[1], np.kron(ops[2], ops[3])))
         np.testing.assert_allclose(left, flat, atol=1e-12)
 
+    def test_equals_np_kron_bit_for_bit(self, rng):
+        for dim in (2, 4):
+            for _ in range(20):
+                a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                assert np.array_equal(tensor(a, b), np.kron(a, b))
+                assert np.array_equal(tensor(a.T, b.conj().T), np.kron(a.T, b.conj().T))
+
     def test_rejects_overflow(self):
         with pytest.raises(ValueError):
             tensor(np.eye(16), np.eye(2))

@@ -10,6 +10,9 @@ from entport.states import (
     BELL_SIGN_MATRICES,
     BOB_CORRECTIONS,
     ID2,
+    PAULI_A,
+    PAULI_AB,
+    PAULI_B,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -314,3 +317,56 @@ def test_random_product_state_is_separable_density_matrix(rng):
 
 def test_tensor_of_paulis_matches_kron():
     np.testing.assert_array_equal(tensor(SIGMA_X, SIGMA_Z), np.kron(SIGMA_X, SIGMA_Z))
+
+
+# Pauli matrices written out by hand, for references that do not read the
+# package's constants.
+HAND_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def compose_with_call_time_kron(form):
+    """hs_compose with every basis operator built by np.kron when it is used."""
+    eye2 = np.eye(2, dtype=complex)
+    rho = np.eye(4, dtype=complex)
+    for n in range(3):
+        rho += form.a[n] * np.kron(HAND_PAULIS[n], eye2)
+        rho += form.b[n] * np.kron(eye2, HAND_PAULIS[n])
+        for m in range(3):
+            if form.c[n, m] != 0.0:
+                rho += form.c[n, m] * np.kron(HAND_PAULIS[n], HAND_PAULIS[m])
+    return rho / 4.0
+
+
+class TestHoistedConstants:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        a=arrays(float, 3, elements=unit_interval),
+        b=arrays(float, 3, elements=unit_interval),
+        c=arrays(float, (3, 3), elements=unit_interval),
+    )
+    def test_compose_equals_call_time_kron_bit_for_bit(self, a, b, c):
+        form = HilbertSchmidtForm(a=a, b=b, c=c)
+        assert np.array_equal(hs_compose(form), compose_with_call_time_kron(form))
+
+    def test_module_constants_are_read_only(self):
+        constants = [
+            ID2, *PAULIS, *PAULI_A, *PAULI_B, *(p for row in PAULI_AB for p in row),
+            *BELL_SIGN_MATRICES, *BOB_CORRECTIONS,
+        ]
+        for m in constants:
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                m += 1.0
+
+    def test_bell_projector_returns_a_fresh_copy(self):
+        for alpha in range(4):
+            before = bell_projector(alpha)
+            mutated = bell_projector(alpha)
+            mutated[:] = 7.0
+            assert np.array_equal(bell_projector(alpha), before)

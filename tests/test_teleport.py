@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from entport.entanglement import negativity
 from entport.information import information_decomposition
 from entport.states import (
+    BOB_CORRECTIONS,
     ID2,
     SIGMA_X,
     WernerChannel,
+    bell_projector,
     hs_decompose,
     random_local_unitary,
     rotated_pure_state,
@@ -92,6 +94,30 @@ class TestSimulate:
             simulate(np.eye(4), WernerChannel(0.5))  # trace 4
         with pytest.raises(ValueError):
             simulate(seed_state(0.5), 0.5)  # bare float channel
+
+    def test_default_strategy_is_the_optimal_one(self):
+        rho = seed_state(0.6)
+        default = simulate(rho, WernerChannel(0.5))
+        explicit = simulate(rho, WernerChannel(0.5), optimal_strategy())
+        assert np.array_equal(default.final_state, explicit.final_state)
+        assert np.array_equal(default.probabilities, explicit.probabilities)
+
+    def test_strategy_operators_are_built_from_its_corrections(self):
+        strategy = optimal_strategy()
+        for alpha, op in enumerate(strategy.operators):
+            expected = np.kron(np.kron(ID2, bell_projector(alpha)), strategy.corrections[alpha])
+            assert np.array_equal(op, expected)
+            assert not op.flags.writeable
+
+    def test_strategy_keeps_its_own_read_only_corrections(self):
+        u = SIGMA_X.copy()
+        strategy = BobStrategy(corrections=(ID2, u, ID2, ID2))
+        u[:] = 0.0
+        assert np.array_equal(strategy.corrections[1], SIGMA_X)
+        with pytest.raises(ValueError):
+            optimal_strategy().corrections[1][0, 0] = 0.0
+        for got, expected in zip(optimal_strategy().corrections, BOB_CORRECTIONS):
+            assert np.array_equal(got, expected)
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
