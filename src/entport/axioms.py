@@ -14,6 +14,16 @@ combinations so that both the pure and the genuinely mixed regimes are
 covered.  Every trial derives its generator deterministically from the
 root seed and the trial index, so runs are reproducible and order
 independent.
+
+Each check runs in two steps per block of trials.  First it makes each
+trial's generator calls, in the order the trial's construction consumes
+them, and keeps only the draws.  Then it builds the block's states, local
+unitaries and Kraus families as ``(..., d, d)`` stacks, validates them and
+evaluates every negativity with one stacked eigensolve, and folds the
+per-trial violations in trial order.  Each stacked result equals the
+matrix-by-matrix computation bit for bit, and blocks hold at most
+``STACK_BLOCK`` matrices (or one trial), so memory does not grow with the
+trial count.
 """
 
 from __future__ import annotations
@@ -22,13 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import negativity
-from .matkernel import adjoint, tensor
+from .entanglement import negativities
+from .matkernel import _kron, _stack_item, adjoint, tensor
 from .states import (
-    random_local_unitary,
-    random_product_state,
+    _check_unitary,
+    _draw_bloch,
+    _draw_su2,
+    qubit_states,
     rotated_pure_state,
-    werner_state,
+    su2_matrices,
+    werner_states,
 )
 
 #: A condition counts as violated only above this (roundoff headroom).
@@ -43,6 +56,15 @@ COMPLETENESS_ATOL = 1e-10
 #: Most measurement branches per family, checked before the Kraus set (whose
 #: size grows with the branch count) is drawn.
 MAX_BRANCHES = 1024
+
+#: Most trials per check, checked before any trial runs.
+MAX_TRIALS = 1_000_000
+
+#: Trials are drawn and evaluated in blocks of at most this many 4x4
+#: matrices, or of one trial where a trial needs more (a C3 trial needs
+#: ``branches + 1``).  Peak memory is then bounded whatever the trial and
+#: branch counts.  Larger blocks save little time and cost resident memory.
+STACK_BLOCK = 128
 
 
 @dataclass
@@ -66,11 +88,14 @@ class LgmCcFamily:
             raise ValueError("operator family does not satisfy completeness")
 
     def completeness_residual(self) -> float:
-        total = np.zeros((4, 4), dtype=complex)
-        for a, b in self.operators:
-            v = tensor(a, b)
-            total += adjoint(v) @ v
-        return float(np.max(np.abs(total - np.eye(4))))
+        a, b = zip(*self.operators)
+        return float(_completeness_residuals(tensor(np.array(a), np.array(b))))
+
+
+def _completeness_residuals(v: np.ndarray) -> np.ndarray:
+    """``max |sum_i v_i^dagger v_i - 1|`` of each family in a ``(..., branches, 4, 4)`` stack."""
+    total = (adjoint(v) @ v).sum(axis=-3)
+    return np.abs(total - np.eye(4)).max(axis=(-2, -1))
 
 
 @dataclass
@@ -88,17 +113,47 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, check_tag, trial])
 
 
+def check_trials(trials: int) -> None:
+    """Reject a trial count outside [1, ``MAX_TRIALS``]."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+
+
 def _check_branches(branches: int) -> None:
     if not 1 <= branches <= MAX_BRANCHES:
         raise ValueError(f"branches must lie in [1, {MAX_BRANCHES}], got {branches}")
 
 
-def _random_kraus_set(gen: np.random.Generator, branches: int) -> list[np.ndarray]:
-    # The 2x2 blocks of a random isometry C^2 -> C^(2*branches) form a
-    # complete Kraus set; for branches == 1 completeness forces unitarity.
+def _blocks(trials: int, matrices_per_trial: int):
+    """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least)."""
+    step = max(1, STACK_BLOCK // matrices_per_trial)
+    return (range(start, min(start + step, trials)) for start in range(0, trials, step))
+
+
+def _draw_lgm_cc(gen: np.random.Generator, branches: int) -> tuple:
+    """The draws behind one :func:`sample_lgm_cc` family, in generator order.
+
+    A complex Gaussian ``(2 * branches, 2)`` matrix for the Kraus set, one
+    SU(2) vector per branch for the conditional unitaries, and whether the
+    measuring side comes first.
+    """
     g = gen.standard_normal((2 * branches, 2)) + 1j * gen.standard_normal((2 * branches, 2))
+    z = np.array([_draw_su2(gen) for _ in range(branches)])
+    return g, z, gen.random() < 0.5
+
+
+def _lgm_cc_operators(g, z, measuring_first) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, B)`` stacks of shape ``(..., branches, 2, 2)`` from stacked family draws.
+
+    The 2x2 blocks of the isometry ``Q`` of ``g = QR`` form a complete Kraus
+    set (for one branch, completeness forces unitarity); ``su2_matrices(z)``
+    are the conditional unitaries, validated as unitary.
+    """
     q, _ = np.linalg.qr(g)
-    return [q[2 * i : 2 * i + 2, :].copy() for i in range(branches)]
+    kraus = q.reshape(*q.shape[:-2], -1, 2, 2)
+    unitaries = _check_unitary(su2_matrices(z))
+    first = np.asarray(measuring_first)[..., None, None, None]
+    return np.where(first, kraus, unitaries), np.where(first, unitaries, kraus)
 
 
 def sample_lgm_cc(rng, branches: int) -> LgmCcFamily:
@@ -115,80 +170,121 @@ def sample_lgm_cc(rng, branches: int) -> LgmCcFamily:
     """
     _check_branches(branches)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    measuring = _random_kraus_set(gen, branches)
-    conditional = [random_local_unitary(gen) for _ in range(branches)]
-    if gen.random() < 0.5:
-        return LgmCcFamily(operators=list(zip(measuring, conditional)))
-    return LgmCcFamily(operators=list(zip(conditional, measuring)))
+    a, b = _lgm_cc_operators(*_draw_lgm_cc(gen, branches))
+    return LgmCcFamily(operators=list(zip(a, b)))
 
 
-def _random_test_state(gen: np.random.Generator) -> np.ndarray:
-    pure = rotated_pure_state(
-        gen.random(), random_local_unitary(gen), random_local_unitary(gen)
-    )
+def _draw_test_state(gen: np.random.Generator) -> tuple:
+    """Draws of one trial state: ``(c0, z1, z2, mixed, lam, phi)``.
+
+    The state is the seed state with ``c0`` rotated by the SU(2) matrices of
+    ``z1`` and ``z2``; when ``mixed``, it is mixed with weight ``1 - lam``
+    into the Werner state with ``phi`` (``lam`` and ``phi`` are 0 otherwise).
+    """
+    c0, z1, z2 = gen.random(), _draw_su2(gen), _draw_su2(gen)
     if gen.random() < 0.5:
-        return pure
+        return c0, z1, z2, False, 0.0, 0.0
     lam = gen.random()
-    return lam * pure + (1.0 - lam) * werner_state(gen.uniform(-1.0, 1.0))
+    return c0, z1, z2, True, lam, gen.uniform(-1.0, 1.0)
+
+
+def _test_states(draws: list[tuple]) -> np.ndarray:
+    """Stack of the trial states of :func:`_draw_test_state` draws."""
+    c0, z1, z2, mixed, lam, phi = (np.array(column) for column in zip(*draws))
+    pure = rotated_pure_state(c0, su2_matrices(z1), su2_matrices(z2))
+    lam = lam[:, None, None]
+    mixture = lam * pure + (1.0 - lam) * werner_states(phi)
+    return np.where(mixed[:, None, None], mixture, pure)
+
+
+def _product_states(bloch_pairs) -> np.ndarray:
+    """Stack of ``rho_a (x) rho_b`` from ``(r_a, r_b)`` Bloch-vector pairs."""
+    r = np.array(bloch_pairs)
+    return _kron(qubit_states(r[:, 0]), qubit_states(r[:, 1]))
+
+
+def _draw_product(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    return _draw_bloch(gen), _draw_bloch(gen)
 
 
 def check_c1(trials: int, seed: int) -> AxiomReport:
-    """C1: separable states report zero, entangled pure states report |c0|."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    """C1: separable states report zero, entangled pure states report |c0|.
+
+    Per trial: a product state, a mixture of 2 to 4 more product states,
+    and a locally rotated seed state with ``c0`` (at most 7 matrices).
+    """
+    check_trials(trials)
     worst = 0.0
-    for t in range(trials):
-        gen = _generator(seed, 1, t)
-        worst = max(worst, negativity(random_product_state(gen)).value)
-        terms = int(gen.integers(2, 5))
-        weights = gen.random(terms)
-        weights /= weights.sum()
-        mixture = sum(w * random_product_state(gen) for w in weights)
-        worst = max(worst, negativity(mixture).value)
-        c0 = gen.random()
-        pure = rotated_pure_state(c0, random_local_unitary(gen), random_local_unitary(gen))
-        worst = max(worst, abs(negativity(pure).value - c0))
+    for block in _blocks(trials, 7):
+        products, weights, parts, pure_draws = [], [], [], []
+        for t in block:
+            gen = _generator(seed, 1, t)
+            products.append(_draw_product(gen))
+            terms = int(gen.integers(2, 5))
+            w = gen.random(terms)
+            w /= w.sum()
+            weights.append(w)
+            parts.extend(_draw_product(gen) for _ in range(terms))
+            pure_draws.append((gen.random(), _draw_su2(gen), _draw_su2(gen)))
+        # The ragged mixtures keep their Python sums, term by term.
+        components = iter(_product_states(parts))
+        mixed = [sum(wi * state for wi, state in zip(w, components)) for w in weights]
+        c0, z1, z2 = (np.array(column) for column in zip(*pure_draws))
+        pure = rotated_pure_state(c0, su2_matrices(z1), su2_matrices(z2))
+        values = negativities(np.concatenate([_product_states(products), mixed, pure]))
+        product, mixture, rotated = values.reshape(3, len(block))
+        violations = np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
+        worst = max(worst, *violations.ravel().tolist())
     return AxiomReport("C1", trials, worst, worst <= AXIOM_TOL)
 
 
 def check_c2(trials: int, seed: int) -> AxiomReport:
     """C2: the measure is unchanged by any local unitary rotation."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     worst = 0.0
-    for t in range(trials):
-        gen = _generator(seed, 2, t)
-        rho = _random_test_state(gen)
-        u = tensor(random_local_unitary(gen), random_local_unitary(gen))
-        worst = max(
-            worst,
-            abs(negativity(u @ rho @ adjoint(u)).value - negativity(rho).value),
-        )
+    for block in _blocks(trials, 2):
+        states, z1, z2 = [], [], []
+        for t in block:
+            gen = _generator(seed, 2, t)
+            states.append(_draw_test_state(gen))
+            z1.append(_draw_su2(gen))
+            z2.append(_draw_su2(gen))
+        rho = _test_states(states)
+        u = _kron(_check_unitary(su2_matrices(z1)), _check_unitary(su2_matrices(z2)))
+        rotated, original = np.split(negativities(np.concatenate([u @ rho @ adjoint(u), rho])), 2)
+        worst = max(worst, *np.abs(rotated - original).tolist())
     return AxiomReport("C2", trials, worst, worst <= AXIOM_TOL)
 
 
 def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     """C3: the branch-averaged measure never exceeds the input's measure."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     _check_branches(branches)
     worst = 0.0
     skipped = 0
-    for t in range(trials):
-        gen = _generator(seed, 3, t)
-        rho = _random_test_state(gen)
-        base = negativity(rho).value
-        family = sample_lgm_cc(gen, branches)
-        averaged = 0.0
-        for a, b in family.operators:
-            v = tensor(a, b)
-            mapped = v @ rho @ adjoint(v)
-            p = float(np.trace(mapped).real)
-            if p < BRANCH_PROB_FLOOR:
-                skipped += 1
-                continue
-            averaged += p * negativity(mapped / p).value
-        worst = max(worst, averaged - base)
+    for block in _blocks(trials, branches + 1):
+        states, families = [], []
+        for t in block:
+            gen = _generator(seed, 3, t)
+            states.append(_draw_test_state(gen))
+            families.append(_draw_lgm_cc(gen, branches))
+        rho = _test_states(states)
+        g, z, measuring_first = (np.array(column) for column in zip(*families))
+        v = _kron(*_lgm_cc_operators(g, z, measuring_first))
+        residuals = _completeness_residuals(v)
+        if residuals.max() > COMPLETENESS_ATOL:
+            (index,) = _stack_item(residuals > COMPLETENESS_ATOL)
+            raise ValueError(f"trial {block[index]}: operator family does not satisfy completeness")
+        mapped = v @ rho[:, None] @ adjoint(v)
+        p = mapped.trace(axis1=-2, axis2=-1).real
+        kept = p >= BRANCH_PROB_FLOOR
+        skipped += int(np.count_nonzero(~kept))
+        values = negativities(np.concatenate([rho, mapped[kept] / p[kept][:, None, None]]))
+        weighted = np.zeros_like(p)
+        weighted[kept] = p[kept] * values[len(block) :]
+        # Sequential branch sums, as a running total would add them.
+        averaged = np.cumsum(weighted, axis=-1)[:, -1]
+        worst = max(worst, *(averaged - values[: len(block)]).tolist())
     worst = max(worst, 0.0)
     return AxiomReport(
         "C3",

@@ -9,6 +9,7 @@ Subcommands::
 Value lists are comma separated (``0,0.5,1``); ranges are
 ``start:stop:count`` with inclusive endpoints.  CSV output uses '.' as the
 decimal separator, 17 significant digits, a header row and LF line endings.
+Every output is written atomically (a temporary file, then ``os.replace``).
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 """
 
@@ -16,13 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import TextIO
 
 import numpy as np
 
-from .axioms import check_c1, check_c2, check_c3
+from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3, check_trials
 from .entanglement import entropy_vs_negativity_curve, negativity
 from .matkernel import herm_eigvals, partial_transpose
 from .states import WernerChannel, seed_state, werner_state
@@ -97,6 +101,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
+    """Write ``out_path`` through ``write(handle)`` all at once, or not at all.
+
+    The text goes to a new temporary file in the target's directory, which
+    then replaces the target, so a failed write leaves any existing file as
+    it was and no temporary file behind.  Returns 0, or 2 after reporting an
+    I/O error on stderr.
+    """
+    directory, name = os.path.split(os.path.abspath(out_path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    created = False
+    try:
+        with open(tmp_path, "x", newline="") as handle:
+            created = True
+            write(handle)
+        os.replace(tmp_path, out_path)
+        created = False
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if created:
+            os.unlink(tmp_path)
+    return 0
+
+
 def _sweep_row(e0: float, phi: float) -> dict:
     channel = WernerChannel(phi)
     ew = channel.ew
@@ -139,17 +169,17 @@ def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     rows = [_sweep_row(e0, phi) for e0 in grid.e0_values for phi in grid.phi_values]
-    try:
-        with open(out_path, "w", newline="") as handle:
-            if fmt == "csv":
-                handle.write(",".join(SWEEP_COLUMNS) + "\n")
-                for row in rows:
-                    handle.write(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS) + "\n")
-            else:
-                json.dump(rows, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+
+    def write(handle):
+        if fmt == "csv":
+            handle.write(",".join(SWEEP_COLUMNS) + "\n")
+            for row in rows:
+                handle.write(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS) + "\n")
+        else:
+            json.dump(rows, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    if _write_atomic(out_path, write):
         return 2
     worst = max(row["max_abs_discrepancy"] for row in rows)
     return 0 if worst < DISCREPANCY_TOL else 1
@@ -286,8 +316,7 @@ def _oracle_grid_checks() -> tuple[list[dict], dict]:
 
 def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
     """Run the axiom suite, the oracle grids and the Werner fixtures."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     # C3 runs first so that a bad branch count fails before C1 and C2 run;
     # every trial seeds its own generator, so the order changes no result.
     c3 = check_c3(trials, branches, seed)
@@ -297,7 +326,7 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
         {
             "name": f"axiom_{r.condition.lower()}",
             "max_violation": r.max_violation,
-            "tolerance": 1e-9,
+            "tolerance": AXIOM_TOL,
             "trials": r.trials,
         }
         for r in (c1, c2, c3)
@@ -321,12 +350,12 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
         },
         "all_passed": all(check["passed"] for check in checks),
     }
-    try:
-        with open(out_path, "w", newline="") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+
+    def write(handle):
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+    if _write_atomic(out_path, write):
         return 2
     return 0 if report["all_passed"] else 1
 
@@ -334,15 +363,13 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
 def cmd_curve(points: int, out_path: str) -> int:
     """Write the entropy-vs-negativity curve as CSV with columns e, s."""
     curve = entropy_vs_negativity_curve(points)
-    try:
-        with open(out_path, "w", newline="") as handle:
-            handle.write("e,s\n")
-            for e, s in curve:
-                handle.write(f"{_fmt(e)},{_fmt(s)}\n")
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+
+    def write(handle):
+        handle.write("e,s\n")
+        for e, s in curve:
+            handle.write(f"{_fmt(e)},{_fmt(s)}\n")
+
+    return _write_atomic(out_path, write)
 
 
 def _build_parser() -> argparse.ArgumentParser:

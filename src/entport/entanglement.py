@@ -1,11 +1,11 @@
 """Entanglement quantifiers for two-qubit states.
 
-The workhorse measure is the negativity: minus twice the sum of the
-negative eigenvalues of the partial transpose, normalised to [0, 1].  For
-two qubits it vanishes exactly on the separable states.  Pure states also
-admit the entropy of entanglement (von Neumann entropy of either reduced
-state); the two quantities do not coincide, but the entropy is a strictly
-increasing function of the negativity.
+The workhorse measure is the negativity: minus twice the negative
+eigenvalue of the partial transpose (a two-qubit state has at most one),
+normalised to [0, 1].  For two qubits it vanishes exactly on the separable
+states.  Pure states also admit the entropy of entanglement (von Neumann
+entropy of either reduced state); the two quantities do not coincide, but
+the entropy is a strictly increasing function of the negativity.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matkernel import check_density_matrix, herm_eigvals, partial_trace, partial_transpose, purity
+from .matkernel import (
+    _single,
+    check_density_matrix,
+    herm_eigvals,
+    partial_trace,
+    partial_transpose,
+    purity,
+)
 from .states import seed_state
 
 #: Partial-transpose eigenvalues above this are treated as non-negative,
@@ -47,19 +54,37 @@ class EntanglementReport:
 def negativity(rho: np.ndarray) -> EntanglementReport:
     """Entanglement of a two-qubit density matrix via the partial transpose.
 
-    Eigenvalues of the partial transpose below ``NEGATIVE_EIG_THRESHOLD``
-    are collected; the measure is minus twice their sum, clamped to [0, 1].
-    Zero if and only if the state is separable.
+    The partial transpose of a two-qubit state has at most one negative
+    eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998).  If the
+    smallest one lies below ``NEGATIVE_EIG_THRESHOLD`` the measure is minus
+    twice it, clamped to [0, 1], and ``negative_eigs`` holds it; otherwise
+    the measure is zero and ``negative_eigs`` is empty.  Zero if and only if
+    the state is separable.  For a stack of states, see :func:`negativities`.
     """
-    return _negativity(check_density_matrix(rho, dim=4))
+    return _negativity(_single(check_density_matrix(rho, dim=4)))
+
+
+def negativities(rho) -> np.ndarray:
+    """:func:`negativity` value of every state in a ``(..., 4, 4)`` stack.
+
+    The stack is validated as a whole and evaluated with one stacked
+    eigensolve; each value equals ``negativity(rho[i]).value`` bit for bit.
+    """
+    return _negativities(check_density_matrix(rho, dim=4))[0]
+
+
+def _negativities(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negativities and smallest partial-transpose eigenvalues of validated states."""
+    lowest = herm_eigvals(partial_transpose(rho))[..., 0]
+    value = np.where(lowest < NEGATIVE_EIG_THRESHOLD, np.minimum(1.0, 2.0 * -lowest), 0.0)
+    return value, lowest
 
 
 def _negativity(rho: np.ndarray) -> EntanglementReport:
     """:func:`negativity` of an already validated density matrix."""
-    eigs = herm_eigvals(partial_transpose(rho))
-    negative = [float(w) for w in eigs if w < NEGATIVE_EIG_THRESHOLD]
-    value = -2.0 * sum(negative)
-    return EntanglementReport(value=float(min(1.0, max(0.0, value))), negative_eigs=negative)
+    value, lowest = _negativities(rho)
+    negative = [float(lowest)] if value > 0.0 else []
+    return EntanglementReport(value=float(value), negative_eigs=negative)
 
 
 def entropy_of_entanglement(rho: np.ndarray) -> float:

@@ -2,8 +2,12 @@
 
 Operators are plain ``numpy`` arrays of dimension 2, 4 or 16 (dimension 16
 only appears transiently, for the four-particle state before the Bell
-measurement).  All functions are pure, never mutate their arguments and are
-safe to call concurrently.
+measurement).  ``as_operator``, ``adjoint``, ``tensor``/``_kron``,
+``partial_transpose``, ``herm_eigvals`` and ``check_density_matrix`` also
+take stacks of shape ``(..., d, d)``: they act on every matrix of the stack
+at once, and each item comes out bit for bit as it would alone.  All
+functions are pure, never mutate their arguments and are safe to call
+concurrently.
 
 Downstream formulas are exact rationals in the inputs, so roundoff is the
 only noise source; the tolerances below are sized accordingly.
@@ -26,26 +30,41 @@ PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 
 
+def _stack_item(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first stack item where ``bad`` holds (``()`` for one matrix)."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _where(index: tuple[int, ...]) -> str:
+    """Message prefix naming a stack item; empty for a single matrix."""
+    if not index:
+        return ""
+    return f"stack item {index[0] if len(index) == 1 else index}: "
+
+
 def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
     """Validate ``m`` as a finite square complex matrix of an allowed dimension.
 
-    Returns the input as a complex ``ndarray`` (a view when possible).
-    Raises ``ValueError`` for non-square shapes, unsupported dimensions or
-    non-finite entries.
+    ``m`` may also be a stack of shape ``(..., d, d)``, which is validated as
+    a whole; an error then names the first bad item.  Returns the input as
+    a complex ``ndarray`` (a view when possible).  Raises ``ValueError`` for
+    non-square shapes, unsupported dimensions or non-finite entries.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in dims:
-        raise ValueError(f"dimension {a.shape[0]} not supported (allowed: {dims})")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-1] not in dims:
+        raise ValueError(f"dimension {a.shape[-1]} not supported (allowed: {dims})")
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = _stack_item(~finite.all(axis=(-2, -1)))
+        raise ValueError(f"{_where(index)}matrix entries must be finite")
     return a
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of ``m``."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of ``m``, or of each matrix in a ``(..., d, d)`` stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,26 +72,29 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The entry at row ``i * dim(b) + k``, column ``j * dim(b) + l`` is
     ``a[i, j] * b[k, l]``.  Only products of total dimension 4 or 16 are
-    allowed; anything larger is rejected.
+    allowed; anything larger is rejected.  Stacks broadcast against each
+    other, as in :func:`_kron`.
     """
     a = as_operator(a)
     b = as_operator(b)
-    if a.shape[0] * b.shape[0] not in (4, 16):
+    if a.shape[-1] * b.shape[-1] not in (4, 16):
         raise ValueError(
-            f"tensor product of dims {a.shape[0]} x {b.shape[0]} is outside the "
+            f"tensor product of dims {a.shape[-1]} x {b.shape[-1]} is outside the "
             "supported composite dimensions (4, 16)"
         )
     return _kron(a, b)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square matrices, without argument checks.
+    """``np.kron`` of two square matrices, or item by item of two stacks, without checks.
 
-    The same broadcast product that ``np.kron`` forms, so the result is
+    The same broadcast product that ``np.kron`` forms, so each result is
     bit-for-bit equal to it, without its Python-level ``expand_dims`` calls.
+    The leading dimensions of ``(..., d, d)`` stacks broadcast.
     """
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+    n = a.shape[-1] * b.shape[-1]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], n, n)
 
 
 def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
@@ -100,26 +122,35 @@ def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
-    """Transpose the second tensor factor of a 4x4 operator.
+    """Transpose the second tensor factor of a 4x4 operator, or of each in a stack.
 
     Maps the entry at ((i, k), (j, l)) to ((i, l), (j, k)).  Applying it
     twice returns the input; trace and Hermiticity are preserved.
     """
     m = as_operator(m, dims=(4,))
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    lead = m.shape[:-2]
+    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
+
+
+def _check_hermitian(m: np.ndarray, m_h: np.ndarray, message: str) -> None:
+    deviation = np.abs(m - m_h)
+    if deviation.max() > HERMITICITY_ATOL:
+        index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
+        raise ValueError(_where(index) + message)
 
 
 def herm_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator, ascending.
+    """Eigenvalues of a Hermitian operator, ascending; of each item for a stack.
 
     The input must be Hermitian within ``HERMITICITY_ATOL`` and is
     symmetrised as ``(m + m^dagger) / 2`` before solving, which suppresses
-    roundoff accumulated by upstream arithmetic.
+    roundoff accumulated by upstream arithmetic.  A ``(..., d, d)`` stack is
+    solved by one ``eigvalsh`` call and gives ``(..., d)`` eigenvalues.
     """
     m = as_operator(m)
-    if np.max(np.abs(m - adjoint(m))) > HERMITICITY_ATOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh((m + adjoint(m)) / 2)
+    m_h = adjoint(m)
+    _check_hermitian(m, m_h, "matrix is not Hermitian within tolerance")
+    return np.linalg.eigvalsh((m + m_h) / 2)
 
 
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
@@ -127,22 +158,36 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
 
     Checks: square with an allowed (or the requested) dimension, Hermitian,
     unit trace within ``TRACE_ATOL`` and positive semidefinite within
-    ``PSD_ATOL``.
+    ``PSD_ATOL``.  A ``(..., d, d)`` stack is validated as a whole, with one
+    ``eigvalsh`` call for the PSD check; an error names the first bad item.
     """
     dims = (dim,) if dim is not None else ALLOWED_DIMS
     rho = as_operator(rho, dims=dims)
-    if np.max(np.abs(rho - adjoint(rho))) > HERMITICITY_ATOL:
-        raise ValueError("density matrix must be Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix must have unit trace, got {tr}")
-    evals = np.linalg.eigvalsh((rho + adjoint(rho)) / 2)
-    if evals[0] < -PSD_ATOL:
-        raise ValueError(f"density matrix has a negative eigenvalue: {evals[0]}")
+    rho_h = adjoint(rho)
+    _check_hermitian(rho, rho_h, "density matrix must be Hermitian")
+    tr = rho.trace(axis1=-2, axis2=-1)
+    bad_trace = abs(tr - 1.0) > TRACE_ATOL
+    if bad_trace.any():
+        index = _stack_item(bad_trace)
+        raise ValueError(f"{_where(index)}density matrix must have unit trace, got {tr[index]}")
+    lowest = np.linalg.eigvalsh((rho + rho_h) / 2)[..., 0]
+    bad_eig = lowest < -PSD_ATOL
+    if bad_eig.any():
+        index = _stack_item(bad_eig)
+        raise ValueError(
+            f"{_where(index)}density matrix has a negative eigenvalue: {lowest[index]}"
+        )
     return rho
+
+
+def _single(m: np.ndarray) -> np.ndarray:
+    """``m`` itself, if it is one matrix and not a stack; for scalar-only entry points."""
+    if m.ndim != 2:
+        raise ValueError(f"expected one matrix, got a stack of shape {m.shape}")
+    return m
 
 
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2), real."""
-    rho = as_operator(rho)
+    rho = _single(as_operator(rho))
     return float(np.trace(rho @ rho).real)

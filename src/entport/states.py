@@ -8,12 +8,20 @@ density matrix itself, and its expansion over Pauli tensor products
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import HERMITICITY_ATOL, adjoint, as_operator, tensor
+from .matkernel import (
+    HERMITICITY_ATOL,
+    TRACE_ATOL,
+    _kron,
+    _stack_item,
+    _where,
+    adjoint,
+    as_operator,
+    tensor,
+)
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -51,10 +59,30 @@ UNITARITY_ATOL = 1e-10
 
 
 def _check_unitary(u, atol: float = UNITARITY_ATOL) -> np.ndarray:
+    """Validate a qubit unitary, or every item of a ``(..., 2, 2)`` stack."""
     u = as_operator(u, dims=(2,))
-    if np.max(np.abs(u @ adjoint(u) - ID2)) > atol:
-        raise ValueError("matrix is not unitary within tolerance")
+    deviation = np.abs(u @ adjoint(u) - ID2).max(axis=(-2, -1))
+    if deviation.max() > atol:
+        index = _stack_item(deviation > atol)
+        raise ValueError(f"{_where(index)}matrix is not unitary within tolerance")
     return u
+
+
+def _check_range(name: str, values: np.ndarray, lo: float, hi: float) -> None:
+    inside = (values >= lo) & (values <= hi)  # False for NaN
+    if not inside.all():
+        index = _stack_item(~inside)
+        raise ValueError(f"{_where(index)}{name} must lie in [{lo:g}, {hi:g}], got {values[index]}")
+
+
+def _seed_polarisation(c0):
+    """``a0 = sqrt(1 - c0^2)`` of the seed state, elementwise."""
+    return np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
+
+
+def _werner_f(phi):
+    """``f = (2 phi + 1) / 3``, the correlation scale of the Werner state, elementwise."""
+    return (2.0 * phi + 1.0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +132,7 @@ class SeedParams:
 
     @property
     def a0(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.c0 * self.c0))
+        return float(_seed_polarisation(self.c0))
 
     @property
     def entanglement(self) -> float:
@@ -128,7 +156,7 @@ class WernerChannel:
 
     @property
     def f(self) -> float:
-        return (2.0 * self.phi + 1.0) / 3.0
+        return float(_werner_f(self.phi))
 
     @property
     def ew(self) -> float:
@@ -167,20 +195,62 @@ def bell_outcome(alpha: int) -> BellOutcome:
     )
 
 
+#: The Pauli-product basis in the order :func:`hs_compose_stack` adds it:
+#: ``sigma_n (x) 1``, ``1 (x) sigma_n``, then ``sigma_n (x) sigma_m`` for
+#: m = x, y, z, for each n in turn.
+_HS_BASIS = tuple(p for n in range(3) for p in (PAULI_A[n], PAULI_B[n], *PAULI_AB[n]))
+
+
+def _hs_gather_tables() -> tuple[np.ndarray, np.ndarray]:
+    # Every entry of a Pauli product is 0, +-1 or +-i, and each of the 16
+    # entries of a two-qubit operator is nonzero in exactly four of the 16
+    # products, the identity among them on the diagonal.  Row e of the tables
+    # lists, in basis order, which coefficient of _HS_BASIS feeds entry e and
+    # with which factor; the three-term diagonal rows get a zero factor.
+    basis = np.array(_HS_BASIS).reshape(len(_HS_BASIS), 16)
+    index = np.zeros((16, 4), dtype=np.intp)
+    factor = np.zeros((16, 4), dtype=complex)
+    for entry in range(16):
+        (terms,) = np.nonzero(basis[:, entry])
+        index[entry, : len(terms)] = terms
+        factor[entry, : len(terms)] = basis[terms, entry]
+    return _read_only(index), _read_only(factor)
+
+
+_HS_INDEX, _HS_FACTOR = _hs_gather_tables()
+_EYE4_FLAT = _read_only(np.eye(4, dtype=complex).reshape(16))
+
+
+def hs_compose_stack(a, b, c) -> np.ndarray:
+    """Build 4x4 matrices from stacks of Pauli-expansion coefficients.
+
+    ``a`` and ``b`` have shape ``(..., 3)`` and ``c`` shape ``(..., 3, 3)``,
+    with equal leading dimensions; the result has shape ``(..., 4, 4)``.
+    Each item is ``(1/4) [1(x)1 + a.sigma (x) 1 + 1 (x) b.sigma
+    + sum_nm c[n,m] sigma_n (x) sigma_m]``, summed from the identity in the
+    basis order of ``_HS_BASIS``.  Each entry adds only the four terms whose
+    Pauli entry is nonzero.  The terms it leaves out are signed zeros, and a
+    signed zero added to a sum that starts at +0.0 or 1.0 (and so never
+    becomes -0.0) changes no bit: every item equals the term-by-term sum of
+    ``coefficient * basis matrix`` over the whole basis, bit for bit.
+    """
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    lead = c.shape[:-2]
+    coefficients = np.concatenate([a[..., None], b[..., None], c], axis=-1).reshape(*lead, 15)
+    terms = coefficients[..., _HS_INDEX] * _HS_FACTOR
+    rho = _EYE4_FLAT + terms[..., 0]
+    for k in (1, 2, 3):
+        rho += terms[..., k]
+    return rho.reshape(*lead, 4, 4) / 4.0
+
+
 def hs_compose(form: HilbertSchmidtForm) -> np.ndarray:
     """Build the 4x4 matrix from Pauli-expansion coefficients.
 
     Returns ``(1/4) [1(x)1 + a.sigma (x) 1 + 1 (x) b.sigma
-    + sum_nm c[n,m] sigma_n (x) sigma_m]``.
+    + sum_nm c[n,m] sigma_n (x) sigma_m]``; see :func:`hs_compose_stack`.
     """
-    rho = np.eye(4, dtype=complex)
-    for n in range(3):
-        rho += form.a[n] * PAULI_A[n]
-        rho += form.b[n] * PAULI_B[n]
-        for m in range(3):
-            if form.c[n, m] != 0.0:
-                rho += form.c[n, m] * PAULI_AB[n][m]
-    return rho / 4.0
+    return hs_compose_stack(form.a, form.b, form.c)
 
 
 def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
@@ -193,12 +263,25 @@ def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
     rho = as_operator(rho, dims=(4,))
     if np.max(np.abs(rho - adjoint(rho))) > HERMITICITY_ATOL:
         raise ValueError("matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
+    if abs(np.trace(rho) - 1.0) > TRACE_ATOL:
         raise ValueError("matrix must have unit trace")
     a = np.array([np.trace(rho @ p).real for p in PAULI_A])
     b = np.array([np.trace(rho @ p).real for p in PAULI_B])
     c = np.array([[np.trace(rho @ p).real for p in row] for row in PAULI_AB])
     return HilbertSchmidtForm(a=a, b=b, c=c)
+
+
+def seed_states(c0) -> np.ndarray:
+    """:func:`seed_state` of every ``c0`` in an array, as a ``(..., 4, 4)`` stack."""
+    c0 = np.asarray(c0, dtype=float)
+    _check_range("c0", c0, -1.0, 1.0)
+    a = np.zeros(c0.shape + (3,))
+    a[..., 2] = _seed_polarisation(c0)
+    c = np.zeros(c0.shape + (3, 3))
+    c[..., 0, 0] = c0
+    c[..., 1, 1] = -c0
+    c[..., 2, 2] = 1.0
+    return hs_compose_stack(a, a, c)
 
 
 def seed_state(c0: float) -> np.ndarray:
@@ -208,21 +291,36 @@ def seed_state(c0: float) -> np.ndarray:
     the correlation matrix is ``diag(c0, -c0, 1)``.  Every two-qubit pure
     state is this state up to local unitaries.
     """
-    params = SeedParams(c0)
-    a = np.array([0.0, 0.0, params.a0])
-    c = np.diag([params.c0, -params.c0, 1.0])
-    return hs_compose(HilbertSchmidtForm(a=a, b=a, c=c))
+    return seed_states(float(c0))
 
 
-def rotated_pure_state(c0: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Seed state conjugated by the local unitary ``u1 (x) u2``.
 
-    Purity and entanglement are those of ``seed_state(c0)``.
+    Purity and entanglement are those of ``seed_state(c0)``.  ``c0`` may
+    also be an array and ``u1``, ``u2`` matching ``(..., 2, 2)`` stacks,
+    which gives a stack of states.
     """
-    u1 = _check_unitary(u1)
-    u2 = _check_unitary(u2)
-    u = tensor(u1, u2)
-    return u @ seed_state(c0) @ adjoint(u)
+    u = _kron(_check_unitary(u1), _check_unitary(u2))
+    return u @ seed_states(c0) @ adjoint(u)
+
+
+def _draw_su2(gen: np.random.Generator) -> np.ndarray:
+    """The normalised complex 2-vector :func:`random_local_unitary` draws."""
+    z = gen.standard_normal(2) + 1j * gen.standard_normal(2)
+    z /= np.linalg.norm(z)
+    return z
+
+
+def su2_matrices(z) -> np.ndarray:
+    """The SU(2) matrices ``[[z0, -z1*], [z1, z0*]]`` of a ``(..., 2)`` stack of unit vectors."""
+    z = np.asarray(z, dtype=complex)
+    u = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = z[..., 0]
+    u[..., 0, 1] = -np.conj(z[..., 1])
+    u[..., 1, 0] = z[..., 1]
+    u[..., 1, 1] = np.conj(z[..., 0])
+    return u
 
 
 def random_local_unitary(rng) -> np.ndarray:
@@ -234,9 +332,15 @@ def random_local_unitary(rng) -> np.ndarray:
     result Haar-distributed with determinant exactly +1.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    z = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-    z /= np.linalg.norm(z)
-    return np.array([[z[0], -np.conj(z[1])], [z[1], np.conj(z[0])]])
+    return su2_matrices(_draw_su2(gen))
+
+
+def werner_states(phi) -> np.ndarray:
+    """:func:`werner_state` of every ``phi`` in an array, as a ``(..., 4, 4)`` stack."""
+    phi = np.asarray(phi, dtype=float)
+    _check_range("phi", phi, -1.0, 1.0)
+    zero = np.zeros(phi.shape + (3,))
+    return hs_compose_stack(zero, zero, -_werner_f(phi)[..., None, None] * np.eye(3))
 
 
 def werner_state(phi: float) -> np.ndarray:
@@ -246,9 +350,7 @@ def werner_state(phi: float) -> np.ndarray:
     matrix is ``-f I`` with ``f = (2 phi + 1) / 3``.  Eigenvalues are
     ``(1 - f) / 4`` (three-fold) and ``(1 + 3 f) / 4``.
     """
-    channel = WernerChannel(phi)
-    c = -channel.f * np.eye(3)
-    return hs_compose(HilbertSchmidtForm(a=np.zeros(3), b=np.zeros(3), c=c))
+    return werner_states(float(phi))
 
 
 #: The four Bell projectors, built once and read-only; index 0 is the singlet.
@@ -288,12 +390,20 @@ def random_product_state(rng) -> np.ndarray:
     Each factor has a Bloch vector drawn uniformly from the unit ball.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return tensor(_random_qubit_state(gen), _random_qubit_state(gen))
+    return tensor(qubit_states(_draw_bloch(gen)), qubit_states(_draw_bloch(gen)))
 
 
-def _random_qubit_state(gen: np.random.Generator) -> np.ndarray:
+def _draw_bloch(gen: np.random.Generator) -> np.ndarray:
+    """A Bloch vector drawn uniformly from the unit ball."""
     r = gen.standard_normal(3)
     norm = np.linalg.norm(r)
     if norm > 0:
         r *= gen.random() ** (1.0 / 3.0) / norm
-    return (ID2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
+    return r
+
+
+def qubit_states(r) -> np.ndarray:
+    """Qubit states ``(1 + r.sigma) / 2`` of a ``(..., 3)`` stack of Bloch vectors."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
+    return (ID2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0

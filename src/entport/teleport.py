@@ -23,7 +23,7 @@ import numpy as np
 
 from .entanglement import _negativity
 from .information import InformationReport, _information_decomposition
-from .matkernel import _kron, adjoint, check_density_matrix
+from .matkernel import _kron, _single, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
@@ -134,7 +134,7 @@ def simulate(
     on the outcome-averaged state, which is not validated again: it is built
     from the validated ``rho12``.
     """
-    rho12 = check_density_matrix(rho12, dim=4)
+    rho12 = _single(check_density_matrix(rho12, dim=4))
     if not isinstance(channel, WernerChannel):
         raise ValueError("channel must be a WernerChannel")
     if strategy is None:

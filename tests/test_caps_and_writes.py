@@ -1,0 +1,99 @@
+"""Sizes from the command line are capped up front, and outputs are written atomically."""
+
+import json
+import os
+import time
+import tracemalloc
+
+import pytest
+
+import entport.cli as cli
+from entport.axioms import MAX_TRIALS, check_c1, check_c2, check_c3
+from entport.cli import cmd_curve, cmd_verify, main
+
+
+class TestTrialCap:
+    def test_checks_reject_trials_over_the_cap(self):
+        for run in (
+            lambda n: check_c1(n, 1),
+            lambda n: check_c2(n, 1),
+            lambda n: check_c3(n, 2, 1),
+        ):
+            with pytest.raises(ValueError, match=r"trials must lie in \[1, 1000000\]"):
+                run(MAX_TRIALS + 1)
+            with pytest.raises(ValueError, match=r"trials must lie in \[1, 1000000\]"):
+                run(0)
+
+    def test_cli_exits_2_at_once(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        start = time.perf_counter()
+        assert main(["verify", "--trials", "1000000000", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        assert "trials must lie in [1, 1000000], got 1000000000" in capsys.readouterr().err
+
+    def test_c3_peak_memory_is_flat_in_trials(self):
+        check_c3(10, 1, 3)  # first-call set-up inside numpy is not part of the peak
+
+        def peak(trials: int) -> int:
+            tracemalloc.start()
+            try:
+                check_c3(trials, 1, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        assert large <= 1.1 * small, (small, large)
+
+
+def names_in(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+class TestAtomicWrites:
+    def test_failed_curve_write_keeps_the_old_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "curve.csv"
+        out.write_text("previous\n")
+        real_fmt = cli._fmt
+        calls = 0
+
+        def failing_fmt(x):
+            nonlocal calls
+            calls += 1
+            if calls > 50:
+                raise OSError(28, "No space left on device")
+            return real_fmt(x)
+
+        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        assert cmd_curve(101, str(out)) == 2
+        assert calls > 50
+        assert out.read_text() == "previous\n"
+        assert names_in(tmp_path) == ["curve.csv"]
+
+    def test_failed_verify_write_keeps_the_old_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "verify.json"
+        out.write_text("{}\n")
+
+        def failing_dump(obj, handle, **kwargs):
+            handle.write('{"schema": ')
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        assert cmd_verify(5, 1, str(out)) == 2
+        assert out.read_text() == "{}\n"
+        assert names_in(tmp_path) == ["verify.json"]
+
+    def test_replaces_the_output_and_leaves_no_temporary_file(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        out.write_text("previous\n")
+        assert cmd_curve(2, str(out)) == 0
+        assert out.read_text() == "e,s\n0,0\n1,1\n"
+        assert names_in(tmp_path) == ["curve.csv"]
+
+    def test_new_files_get_the_usual_permissions(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        out = tmp_path / "curve.csv"
+        assert cmd_curve(2, str(out)) == 0
+        assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
