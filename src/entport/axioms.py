@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import negativities
-from .matkernel import _kron, _stack_item, adjoint, tensor
+from .matkernel import StackItemError, _kron, _stack_item, adjoint, tensor
 from .states import (
     _check_unitary,
     _draw_bloch,
@@ -128,6 +128,15 @@ def _blocks(trials: int, matrices_per_trial: int):
     """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least)."""
     step = max(1, STACK_BLOCK // matrices_per_trial)
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
+
+
+def _evaluate(check: str, seed: int, trial_of, *parts) -> np.ndarray:
+    """Negativities of the parts as one stack; a bad item i is reported as trial ``trial_of[i]``."""
+    try:
+        return negativities(np.concatenate(parts))
+    except StackItemError as exc:
+        trial = trial_of[exc.index[0]]
+        raise ValueError(f"{check}, seed {seed}, trial {trial}: {exc.reason}") from exc
 
 
 def _draw_lgm_cc(gen: np.random.Generator, branches: int) -> tuple:
@@ -231,7 +240,7 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
         mixed = [sum(wi * state for wi, state in zip(w, components)) for w in weights]
         c0, z1, z2 = (np.array(column) for column in zip(*pure_draws))
         pure = rotated_pure_state(c0, su2_matrices(z1), su2_matrices(z2))
-        values = negativities(np.concatenate([_product_states(products), mixed, pure]))
+        values = _evaluate("C1", seed, np.tile(block, 3), _product_states(products), mixed, pure)
         product, mixture, rotated = values.reshape(3, len(block))
         violations = np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
         worst = max(worst, *violations.ravel().tolist())
@@ -251,7 +260,8 @@ def check_c2(trials: int, seed: int) -> AxiomReport:
             z2.append(_draw_su2(gen))
         rho = _test_states(states)
         u = _kron(_check_unitary(su2_matrices(z1)), _check_unitary(su2_matrices(z2)))
-        rotated, original = np.split(negativities(np.concatenate([u @ rho @ adjoint(u), rho])), 2)
+        values = _evaluate("C2", seed, np.tile(block, 2), u @ rho @ adjoint(u), rho)
+        rotated, original = np.split(values, 2)
         worst = max(worst, *np.abs(rotated - original).tolist())
     return AxiomReport("C2", trials, worst, worst <= AXIOM_TOL)
 
@@ -279,7 +289,8 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
         p = mapped.trace(axis1=-2, axis2=-1).real
         kept = p >= BRANCH_PROB_FLOOR
         skipped += int(np.count_nonzero(~kept))
-        values = negativities(np.concatenate([rho, mapped[kept] / p[kept][:, None, None]]))
+        trial_of = np.concatenate([block, np.repeat(block, branches)[kept.ravel()]])
+        values = _evaluate("C3", seed, trial_of, rho, mapped[kept] / p[kept][:, None, None])
         weighted = np.zeros_like(p)
         weighted[kept] = p[kept] * values[len(block) :]
         # Sequential branch sums, as a running total would add them.

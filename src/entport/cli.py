@@ -27,19 +27,28 @@ from typing import TextIO
 import numpy as np
 
 from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3, check_trials
-from .entanglement import entropy_vs_negativity_curve, negativity
+from .entanglement import entropy_vs_negativity_curve, negativities
 from .matkernel import herm_eigvals, partial_transpose
-from .states import WernerChannel, seed_state, werner_state
+from .states import WernerChannel, seed_state, werner_states
 from .teleport import (
+    _entanglement,
+    _fidelity,
+    _information,
+    correlation_info_from_entanglement,
     fidelity_closed_form,
     final_entanglement_closed_form,
     final_information_closed_form,
-    correlation_info_from_entanglement,
     simulate,
 )
 
-#: A sweep exits 0 only if every checked closed-vs-simulated gap is below this.
+#: Every checked closed-vs-simulated gap must lie below this, in sweep and verify alike.
 DISCREPANCY_TOL = 1e-8
+
+#: Werner spectra are exact; ``eigvalsh`` of a 4x4 state errs by a few eps.
+SPECTRUM_TOL = 1e-12
+
+#: A negativity that should be exact carries the roundoff of the state it is read off.
+NEGATIVITY_TOL = 1e-10
 
 #: Largest ``count`` accepted in a ``start:stop:count`` range, checked before
 #: the values are allocated.
@@ -127,48 +136,53 @@ def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
     return 0
 
 
-def _sweep_row(e0: float, phi: float) -> dict:
+def compare(e0: float, phi: float) -> tuple[dict, dict]:
+    """The closed forms against the simulation at one (e0, phi) point.
+
+    Returns the sweep row and the named gaps that ``verify`` folds.  The
+    closed forms are read at ``ew = max(0, phi)``.  The entanglement gap is
+    gated on both branches, the fidelity and information gaps on phi >= 0
+    only.  On phi < 0 the gaps are the simulated entanglement, which must
+    vanish, and the ungated readings: phi substituted into the cores, and ew = 0.
+    """
     channel = WernerChannel(phi)
     ew = channel.ew
     report = simulate(seed_state(e0), channel)
-
+    fid, ent, info = report.averaged_fidelity, report.final_entanglement, report.final_information
     fid_closed = fidelity_closed_form(e0, ew)
     ent_closed = final_entanglement_closed_form(e0, ew)
     info_closed = final_information_closed_form(e0, ew)
-    info_sim = report.final_information
-
-    # The entanglement form (with ew clamped at 0) holds on both branches of
-    # phi; the fidelity and information forms only claim phi >= 0, where
-    # ew == phi.  On phi < 0 the simulation is authoritative.
-    deltas = [abs(ent_closed - report.final_entanglement)]
+    info_values = vars(info_closed).values()  # total, individual_a, individual_b, correlation
+    gaps = {"entanglement_oracle_grid": abs(ent_closed - ent)}
     if phi >= 0.0:
-        deltas.append(abs(fid_closed - report.averaged_fidelity))
-        deltas.append(abs(info_closed.total - info_sim.total))
-        deltas.append(abs(info_closed.individual_a - info_sim.individual_a))
-        deltas.append(abs(info_closed.individual_b - info_sim.individual_b))
-        deltas.append(abs(info_closed.correlation - info_sim.correlation))
+        gaps["fidelity_oracle_grid"] = abs(fid_closed - fid)
+        gaps["information_oracle_grid"] = max(
+            abs(closed - sim) for closed, sim in zip(info_values, vars(info).values())
+        )
+        discrepancy = max(gaps.values())
+    else:
+        discrepancy = gaps["entanglement_oracle_grid"]
+        gaps.update(
+            entanglement_zero_at_ew_zero=ent,
+            fidelity_phi_substitution_max_delta=abs(_fidelity(e0, phi) - fid),
+            fidelity_ew_zero_max_delta=abs(fid_closed - fid),
+            information_total_phi_substitution_max_delta=abs(
+                _information(e0, phi).total - info.total
+            ),
+            information_total_ew_zero_max_delta=abs(info_closed.total - info.total),
+            entanglement_clamped_max_delta=abs(ent_closed - ent),
+            entanglement_phi_substitution_max_delta=abs(_entanglement(e0, phi) - ent),
+        )
 
-    return {
-        "e0": e0,
-        "phi": phi,
-        "ew": ew,
-        "fidelity_closed": fid_closed,
-        "fidelity_sim": report.averaged_fidelity,
-        "ent_final_closed": ent_closed,
-        "ent_final_sim": report.final_entanglement,
-        "info_total": info_closed.total,
-        "info_i1": info_closed.individual_a,
-        "info_i4": info_closed.individual_b,
-        "info_ic": info_closed.correlation,
-        "max_abs_discrepancy": max(deltas),
-    }
+    values = (e0, phi, ew, fid_closed, fid, ent_closed, ent, *info_values, discrepancy)
+    return dict(zip(SWEEP_COLUMNS, values)), gaps
 
 
 def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
     """Evaluate the closed forms and the simulation over a grid; write rows."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    rows = [_sweep_row(e0, phi) for e0 in grid.e0_values for phi in grid.phi_values]
+    rows = [compare(e0, phi)[0] for e0 in grid.e0_values for phi in grid.phi_values]
 
     def write(handle):
         if fmt == "csv":
@@ -185,133 +199,53 @@ def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
     return 0 if worst < DISCREPANCY_TOL else 1
 
 
+def _check(name: str, max_violation: float, tolerance: float) -> dict:
+    value = float(max_violation)
+    passed = value <= tolerance
+    return {"name": name, "max_violation": value, "tolerance": tolerance, "passed": passed}
+
+
 def _werner_fixture_checks() -> list[dict]:
-    eig_worst = 0.0
-    pt_worst = 0.0
-    neg_worst = 0.0
-    for f in (-1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
-        phi = (3.0 * f - 1.0) / 2.0
-        state = werner_state(phi)
-        expected = np.sort([(1 - f) / 4] * 3 + [(1 + 3 * f) / 4])
-        eig_worst = max(eig_worst, float(np.max(np.abs(herm_eigvals(state) - expected))))
-        expected_pt = np.sort([(1 + f) / 4] * 3 + [(1 - 3 * f) / 4])
-        pt_worst = max(
-            pt_worst,
-            float(np.max(np.abs(herm_eigvals(partial_transpose(state)) - expected_pt))),
-        )
-        neg_worst = max(
-            neg_worst, abs(negativity(state).value - max(0.0, (3.0 * f - 1.0) / 2.0))
-        )
+    f = np.array([-1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])[:, None]
+    phi = (3.0 * f[:, 0] - 1.0) / 2.0
+    states = werner_states(phi)
+    expected = np.sort(np.hstack([np.repeat((1 - f) / 4, 3, axis=1), (1 + 3 * f) / 4]))
+    expected_pt = np.sort(np.hstack([np.repeat((1 + f) / 4, 3, axis=1), (1 - 3 * f) / 4]))
+    pt_eigs = herm_eigvals(partial_transpose(states))
+    neg = negativities(states)
     return [
-        {"name": "werner_eigs", "max_violation": eig_worst, "tolerance": 1e-12},
-        {"name": "werner_pt_eigs", "max_violation": pt_worst, "tolerance": 1e-12},
-        {"name": "werner_negativity", "max_violation": neg_worst, "tolerance": 1e-10},
+        _check("werner_eigs", np.abs(herm_eigvals(states) - expected).max(), SPECTRUM_TOL),
+        _check("werner_pt_eigs", np.abs(pt_eigs - expected_pt).max(), SPECTRUM_TOL),
+        _check("werner_negativity", np.abs(neg - np.maximum(0.0, phi)).max(), NEGATIVITY_TOL),
     ]
 
 
 def _oracle_grid_checks() -> tuple[list[dict], dict]:
-    fid_worst = 0.0
-    ent_worst = 0.0
-    ent_zero_worst = 0.0
-    info_worst = 0.0
-    consistency_worst = 0.0
-    neg_branch = {
-        "fidelity_phi_substitution_max_delta": 0.0,
-        "fidelity_ew_zero_max_delta": 0.0,
-        "information_total_phi_substitution_max_delta": 0.0,
-        "information_total_ew_zero_max_delta": 0.0,
-        "entanglement_clamped_max_delta": 0.0,
-        "entanglement_phi_substitution_max_delta": 0.0,
-    }
-
+    """The gated oracle-grid checks and, left over, the phi < 0 readings, from ``compare``."""
+    worst: dict = {}
     for e0 in DEFAULT_E0_GRID:
         for phi in DEFAULT_PHI_GRID:
-            channel = WernerChannel(phi)
-            ew = channel.ew
-            report = simulate(seed_state(e0), channel)
-            ent_closed = final_entanglement_closed_form(e0, ew)
-            ent_worst = max(ent_worst, abs(ent_closed - report.final_entanglement))
-            if phi >= 0.0:
-                fid_worst = max(
-                    fid_worst,
-                    abs(fidelity_closed_form(e0, ew) - report.averaged_fidelity),
-                )
-                closed = final_information_closed_form(e0, ew)
-                sim = report.final_information
-                info_worst = max(
-                    info_worst,
-                    abs(closed.total - sim.total),
-                    abs(closed.individual_a - sim.individual_a),
-                    abs(closed.individual_b - sim.individual_b),
-                    abs(closed.correlation - sim.correlation),
-                )
-            else:
-                ent_zero_worst = max(ent_zero_worst, report.final_entanglement)
-                # Both readings of the phi < 0 branch, reported but not gated:
-                # substituting phi itself into the closed forms versus using
-                # ew = max(0, phi) = 0.
-                fid_phi = (phi + 2.0) / 3.0 + (phi - 1.0) / 6.0 * e0 * e0
-                g = (2.0 * phi + 1.0) / 3.0
-                info_phi = (2.0 / 3.0) * (1.0 + 2.0 * g * g + (g * g - 1.0) * e0 * e0)
-                u = 1.0 - phi
-                ent_phi = (
-                    np.sqrt(max(0.0, u * u + 3.0 * phi * (2.0 + phi) * e0 * e0)) - u
-                ) / 3.0
-                neg_branch["fidelity_phi_substitution_max_delta"] = max(
-                    neg_branch["fidelity_phi_substitution_max_delta"],
-                    abs(fid_phi - report.averaged_fidelity),
-                )
-                neg_branch["fidelity_ew_zero_max_delta"] = max(
-                    neg_branch["fidelity_ew_zero_max_delta"],
-                    abs(fidelity_closed_form(e0, 0.0) - report.averaged_fidelity),
-                )
-                neg_branch["information_total_phi_substitution_max_delta"] = max(
-                    neg_branch["information_total_phi_substitution_max_delta"],
-                    abs(info_phi - report.final_information.total),
-                )
-                neg_branch["information_total_ew_zero_max_delta"] = max(
-                    neg_branch["information_total_ew_zero_max_delta"],
-                    abs(
-                        final_information_closed_form(e0, 0.0).total
-                        - report.final_information.total
-                    ),
-                )
-                neg_branch["entanglement_clamped_max_delta"] = max(
-                    neg_branch["entanglement_clamped_max_delta"],
-                    abs(ent_closed - report.final_entanglement),
-                )
-                neg_branch["entanglement_phi_substitution_max_delta"] = max(
-                    neg_branch["entanglement_phi_substitution_max_delta"],
-                    abs(float(ent_phi) - report.final_entanglement),
-                )
-
-    for ew in (0.25, 0.5, 0.75, 1.0):
-        for e0 in DEFAULT_E0_GRID:
-            e_final = final_entanglement_closed_form(e0, ew)
-            consistency_worst = max(
-                consistency_worst,
-                abs(
-                    correlation_info_from_entanglement(e_final, ew)
-                    - final_information_closed_form(e0, ew).correlation
-                ),
-            )
-
-    checks = [
-        {"name": "fidelity_oracle_grid", "max_violation": fid_worst, "tolerance": 1e-8},
-        {"name": "entanglement_oracle_grid", "max_violation": ent_worst, "tolerance": 1e-8},
-        {
-            "name": "entanglement_zero_at_ew_zero",
-            "max_violation": ent_zero_worst,
-            "tolerance": 1e-10,
-        },
-        {"name": "information_oracle_grid", "max_violation": info_worst, "tolerance": 1e-8},
-        {
-            "name": "correlation_info_consistency",
-            "max_violation": consistency_worst,
-            "tolerance": 1e-8,
-        },
+            for name, gap in compare(e0, phi)[1].items():
+                worst[name] = max(worst.get(name, 0.0), gap)
+    worst["correlation_info_consistency"] = max(
+        abs(
+            correlation_info_from_entanglement(final_entanglement_closed_form(e0, ew), ew)
+            - final_information_closed_form(e0, ew).correlation
+        )
+        for ew in (0.25, 0.5, 0.75, 1.0)
+        for e0 in DEFAULT_E0_GRID
+    )
+    gated = [
+        _check(name, worst.pop(name), tolerance)
+        for name, tolerance in (
+            ("fidelity_oracle_grid", DISCREPANCY_TOL),
+            ("entanglement_oracle_grid", DISCREPANCY_TOL),
+            ("entanglement_zero_at_ew_zero", NEGATIVITY_TOL),
+            ("information_oracle_grid", DISCREPANCY_TOL),
+            ("correlation_info_consistency", DISCREPANCY_TOL),
+        )
     ]
-    return checks, neg_branch
+    return gated, worst
 
 
 def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
@@ -323,19 +257,11 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
     c1 = check_c1(trials, seed)
     c2 = check_c2(trials, seed)
     checks = [
-        {
-            "name": f"axiom_{r.condition.lower()}",
-            "max_violation": r.max_violation,
-            "tolerance": AXIOM_TOL,
-            "trials": r.trials,
-        }
+        {**_check(f"axiom_{r.condition.lower()}", r.max_violation, AXIOM_TOL), "trials": r.trials}
         for r in (c1, c2, c3)
     ]
-    checks.extend(_werner_fixture_checks())
     grid_checks, neg_branch = _oracle_grid_checks()
-    checks.extend(grid_checks)
-    for check in checks:
-        check["passed"] = bool(check["max_violation"] <= check["tolerance"])
+    checks += _werner_fixture_checks() + grid_checks
 
     report = {
         "schema": "entport-verify/1",

@@ -35,11 +35,13 @@ def _stack_item(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-def _where(index: tuple[int, ...]) -> str:
-    """Message prefix naming a stack item; empty for a single matrix."""
-    if not index:
-        return ""
-    return f"stack item {index[0] if len(index) == 1 else index}: "
+class StackItemError(ValueError):
+    """A ``ValueError`` that keeps the failed stack item's ``index`` (``()``: one matrix)."""
+
+    def __init__(self, index: tuple[int, ...], reason: str):
+        where = f"stack item {index[0] if len(index) == 1 else index}: " if index else ""
+        super().__init__(where + reason)
+        self.index, self.reason = index, reason
 
 
 def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
@@ -58,7 +60,7 @@ def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
     finite = np.isfinite(a)
     if not finite.all():
         index = _stack_item(~finite.all(axis=(-2, -1)))
-        raise ValueError(f"{_where(index)}matrix entries must be finite")
+        raise StackItemError(index, "matrix entries must be finite")
     return a
 
 
@@ -136,7 +138,7 @@ def _check_hermitian(m: np.ndarray, m_h: np.ndarray, message: str) -> None:
     deviation = np.abs(m - m_h)
     if deviation.max() > HERMITICITY_ATOL:
         index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
-        raise ValueError(_where(index) + message)
+        raise StackItemError(index, message)
 
 
 def herm_eigvals(m: np.ndarray) -> np.ndarray:
@@ -169,14 +171,12 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     bad_trace = abs(tr - 1.0) > TRACE_ATOL
     if bad_trace.any():
         index = _stack_item(bad_trace)
-        raise ValueError(f"{_where(index)}density matrix must have unit trace, got {tr[index]}")
+        raise StackItemError(index, f"density matrix must have unit trace, got {tr[index]}")
     lowest = np.linalg.eigvalsh((rho + rho_h) / 2)[..., 0]
     bad_eig = lowest < -PSD_ATOL
     if bad_eig.any():
         index = _stack_item(bad_eig)
-        raise ValueError(
-            f"{_where(index)}density matrix has a negative eigenvalue: {lowest[index]}"
-        )
+        raise StackItemError(index, f"density matrix has a negative eigenvalue: {lowest[index]}")
     return rho
 
 

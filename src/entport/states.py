@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkernel import (
-    HERMITICITY_ATOL,
     TRACE_ATOL,
+    StackItemError,
+    _check_hermitian,
     _kron,
     _stack_item,
-    _where,
     adjoint,
     as_operator,
     tensor,
@@ -64,7 +64,7 @@ def _check_unitary(u, atol: float = UNITARITY_ATOL) -> np.ndarray:
     deviation = np.abs(u @ adjoint(u) - ID2).max(axis=(-2, -1))
     if deviation.max() > atol:
         index = _stack_item(deviation > atol)
-        raise ValueError(f"{_where(index)}matrix is not unitary within tolerance")
+        raise StackItemError(index, "matrix is not unitary within tolerance")
     return u
 
 
@@ -72,7 +72,7 @@ def _check_range(name: str, values: np.ndarray, lo: float, hi: float) -> None:
     inside = (values >= lo) & (values <= hi)  # False for NaN
     if not inside.all():
         index = _stack_item(~inside)
-        raise ValueError(f"{_where(index)}{name} must lie in [{lo:g}, {hi:g}], got {values[index]}")
+        raise StackItemError(index, f"{name} must lie in [{lo:g}, {hi:g}], got {values[index]}")
 
 
 def _seed_polarisation(c0):
@@ -261,8 +261,7 @@ def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
     :func:`hs_compose` to machine precision.
     """
     rho = as_operator(rho, dims=(4,))
-    if np.max(np.abs(rho - adjoint(rho))) > HERMITICITY_ATOL:
-        raise ValueError("matrix must be Hermitian")
+    _check_hermitian(rho, adjoint(rho), "matrix must be Hermitian")
     if abs(np.trace(rho) - 1.0) > TRACE_ATOL:
         raise ValueError("matrix must have unit trace")
     a = np.array([np.trace(rho @ p).real for p in PAULI_A])

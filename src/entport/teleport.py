@@ -31,6 +31,7 @@ from .states import (
     WernerChannel,
     _check_unitary,
     _read_only,
+    _werner_f,
     bell_projector,
 )
 
@@ -194,6 +195,28 @@ def _check_unit_interval(**kwargs: float) -> None:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+# Each closed form once, for any w in [-1, 1]; ``verify`` also reads them at w = phi < 0,
+# where the entanglement radicand can round below zero (it vanishes at w = -1/2, e0 = 1).
+def _fidelity(e0: float, w: float) -> float:
+    return (w + 2.0) / 3.0 + (w - 1.0) / 6.0 * e0 * e0
+
+
+def _entanglement(e0: float, w: float) -> float:
+    u = 1.0 - w
+    return (math.sqrt(max(0.0, u * u + 3.0 * w * (2.0 + w) * e0 * e0)) - u) / 3.0
+
+
+def _information(e0: float, w: float) -> InformationReport:
+    g = _werner_f(w)
+    e0sq = e0 * e0
+    return InformationReport(
+        total=(2.0 / 3.0) * (1.0 + 2.0 * g * g + (g * g - 1.0) * e0sq),
+        individual_a=1.0 - e0sq,
+        individual_b=g * g * (1.0 - e0sq),
+        correlation=g * g * (2.0 / 3.0) * (4.0 - e0sq) * e0sq,
+    )
+
+
 def fidelity_closed_form(e0: float, ew: float) -> float:
     """Fidelity of the optimal protocol as a function of the entanglements.
 
@@ -203,7 +226,7 @@ def fidelity_closed_form(e0: float, ew: float) -> float:
     ``e0 = 1, ew = 0``.
     """
     _check_unit_interval(e0=e0, ew=ew)
-    return (ew + 2.0) / 3.0 + (ew - 1.0) / 6.0 * e0 * e0
+    return _fidelity(e0, ew)
 
 
 def final_entanglement_closed_form(e0: float, ew: float) -> float:
@@ -214,8 +237,7 @@ def final_entanglement_closed_form(e0: float, ew: float) -> float:
     strictly positive whenever both arguments are.
     """
     _check_unit_interval(e0=e0, ew=ew)
-    u = 1.0 - ew
-    return (math.sqrt(u * u + 3.0 * ew * (2.0 + ew) * e0 * e0) - u) / 3.0
+    return _entanglement(e0, ew)
 
 
 def final_information_closed_form(e0: float, ew: float) -> InformationReport:
@@ -227,15 +249,7 @@ def final_information_closed_form(e0: float, ew: float) -> InformationReport:
     initial state.
     """
     _check_unit_interval(e0=e0, ew=ew)
-    g = (2.0 * ew + 1.0) / 3.0
-    e0sq = e0 * e0
-    total = (2.0 / 3.0) * (1.0 + 2.0 * g * g + (g * g - 1.0) * e0sq)
-    i1 = 1.0 - e0sq
-    i4 = g * g * (1.0 - e0sq)
-    ic = g * g * (2.0 / 3.0) * (4.0 - e0sq) * e0sq
-    return InformationReport(
-        total=total, individual_a=i1, individual_b=i4, correlation=ic
-    )
+    return _information(e0, ew)
 
 
 def correlation_info_from_entanglement(e: float, ew: float) -> float:
@@ -252,5 +266,5 @@ def correlation_info_from_entanglement(e: float, ew: float) -> float:
         raise ValueError(f"ew must be positive, got {ew}")
     _check_unit_interval(e=e, ew=ew)
     e0sq = e * (3.0 * e + 2.0 * (1.0 - ew)) / (ew * (2.0 + ew))
-    g = (2.0 * ew + 1.0) / 3.0
+    g = _werner_f(ew)
     return g * g * (2.0 / 3.0) * e0sq * (4.0 - e0sq)

@@ -1,5 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# pyproject.toml puts src/ on this process's path; subprocesses the tests start
+# (``python -m entport.cli``) import the package from the same checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

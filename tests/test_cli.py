@@ -187,6 +187,31 @@ class TestVerify:
         assert cmd_verify(5, 1, str(tmp_path / "no" / "dir.json")) == 2
 
 
+class TestSweepAndVerifyAgree:
+    def test_verify_oracle_checks_are_the_sweep_maxima(self, tmp_path):
+        """Both commands compare through one path, so the numbers agree exactly."""
+        sweep_out, verify_out = tmp_path / "sweep.json", tmp_path / "verify.json"
+        grid = SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID))
+        assert cmd_sweep(grid, str(sweep_out), "json") == 0
+        assert cmd_verify(10, 7, str(verify_out)) == 0
+        rows = json.loads(sweep_out.read_text())
+        checks = json.loads(verify_out.read_text())["checks"]
+        worst = {check["name"]: check["max_violation"] for check in checks}
+        nonnegative = [row for row in rows if row["phi"] >= 0.0]
+        negative = [row for row in rows if row["phi"] < 0.0]
+        assert nonnegative and negative
+
+        assert worst["fidelity_oracle_grid"] == max(
+            abs(row["fidelity_closed"] - row["fidelity_sim"]) for row in nonnegative
+        )
+        assert worst["entanglement_oracle_grid"] == max(
+            abs(row["ent_final_closed"] - row["ent_final_sim"]) for row in rows
+        )
+        assert worst["entanglement_zero_at_ew_zero"] == max(
+            row["ent_final_sim"] for row in negative
+        )
+
+
 class TestCurve:
     def test_two_points(self, tmp_path):
         out = tmp_path / "curve.csv"

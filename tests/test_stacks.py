@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from entport.axioms import check_c1, check_c2, check_c3
 from entport.entanglement import negativities, negativity
 from entport.matkernel import (
+    StackItemError,
     as_operator,
     check_density_matrix,
     herm_eigvals,
@@ -177,6 +178,16 @@ class TestBadItemIsNamed:
         with pytest.raises(ValueError, match=r"^density matrix has a negative eigenvalue"):
             check_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]))
 
+    def test_error_keeps_the_index_and_the_reason(self):
+        with pytest.raises(StackItemError) as excinfo:
+            check_density_matrix(self.stack_with(np.eye(4) / 2, index=4))
+        assert excinfo.value.index == (4,)
+        assert excinfo.value.reason.startswith("density matrix must have unit trace")
+        with pytest.raises(StackItemError) as excinfo:
+            check_density_matrix(np.eye(4) / 2)
+        assert excinfo.value.index == ()
+        assert str(excinfo.value) == excinfo.value.reason
+
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -296,6 +307,69 @@ class TestPinnedAxiomValues:
         reports = [check_c1(40, 3), check_c2(40, 3), check_c3(40, 3, 3)]
         monkeypatch.setattr(axioms, "STACK_BLOCK", 7)
         assert [check_c1(40, 3), check_c2(40, 3), check_c3(40, 3, 3)] == reports
+
+
+def plant_non_psd_state(monkeypatch, builder: str, trial: int) -> None:
+    """Make ``axioms.<builder>``, which builds one state per trial of a block,
+    give trial ``trial`` (an index over the whole run) a state with eigenvalue -0.5."""
+    import entport.axioms as axioms
+
+    real = getattr(axioms, builder)
+    seen = 0
+
+    def planted(*args):
+        nonlocal seen
+        states = real(*args)
+        if seen <= trial < seen + len(states):
+            states[trial - seen] = np.diag([1.5, -0.5, 0.0, 0.0])
+        seen += len(states)
+        return states
+
+    monkeypatch.setattr(axioms, builder, planted)
+
+
+class TestAxiomErrorsNameTheTrial:
+    """A state that fails validation is reported by check, seed and trial, not by
+    its position in a block's evaluation stack."""
+
+    @pytest.mark.parametrize(
+        "check,builder,run",
+        [
+            ("C1", "rotated_pure_state", lambda: check_c1(100, 7)),
+            ("C2", "_test_states", lambda: check_c2(100, 7)),
+            ("C3", "_test_states", lambda: check_c3(100, 2, 7)),
+        ],
+    )
+    def test_trial_89(self, monkeypatch, check, builder, run):
+        plant_non_psd_state(monkeypatch, builder, 89)
+        message = rf"^{check}, seed 7, trial 89: density matrix has a negative eigenvalue"
+        with pytest.raises(ValueError, match=message):
+            run()
+
+    def test_invalid_branch_state_names_its_trial(self, monkeypatch):
+        import entport.axioms as axioms
+
+        # Zero Kraus rows give branch 1 of trial 61 probability 0.  With the
+        # floor at 0 it is kept, and 0 / 0 makes its state non-finite; the item
+        # sits among the block's branch states, after all of its trial states.
+        real = axioms._draw_lgm_cc
+        trial = 0
+
+        def planted(gen, branches):
+            nonlocal trial
+            g, z, measuring_first = real(gen, branches)
+            if trial == 61:
+                g[2:4] = 0.0
+            trial += 1
+            return g, z, measuring_first
+
+        assert check_c3(100, 2, 7).skip_rate == 0.0
+        monkeypatch.setattr(axioms, "_draw_lgm_cc", planted)
+        monkeypatch.setattr(axioms, "BRANCH_PROB_FLOOR", 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^C3, seed 7, trial 61: matrix entries must be finite"
+        ):
+            check_c3(100, 2, 7)
 
 
 def test_single_state_entry_points_reject_stacks():
