@@ -53,6 +53,7 @@ from .states import (
 )
 from .teleport import (
     BobStrategy,
+    GridReport,
     TeleportationReport,
     correlation_info_from_entanglement,
     fidelity_closed_form,
@@ -62,6 +63,7 @@ from .teleport import (
     final_state_closed_form,
     optimal_strategy,
     simulate,
+    simulate_grid,
 )
 
 __version__ = "0.1.0"
@@ -71,6 +73,7 @@ __all__ = [
     "BellOutcome",
     "BobStrategy",
     "EntanglementReport",
+    "GridReport",
     "HilbertSchmidtForm",
     "InformationReport",
     "LgmCcFamily",
@@ -109,6 +112,7 @@ __all__ = [
     "sample_lgm_cc",
     "seed_state",
     "simulate",
+    "simulate_grid",
     "tensor",
     "total_information",
     "werner_state",

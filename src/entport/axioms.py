@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import negativities
-from .matkernel import StackItemError, _kron, _stack_item, adjoint, tensor
+from .matkernel import STACK_BLOCK, StackItemError, _kron, _stack_item, adjoint, tensor
 from .states import (
     _check_unitary,
     _draw_bloch,
@@ -59,12 +59,6 @@ MAX_BRANCHES = 1024
 
 #: Most trials per check, checked before any trial runs.
 MAX_TRIALS = 1_000_000
-
-#: Trials are drawn and evaluated in blocks of at most this many 4x4
-#: matrices, or of one trial where a trial needs more (a C3 trial needs
-#: ``branches + 1``).  Peak memory is then bounded whatever the trial and
-#: branch counts.  Larger blocks save little time and cost resident memory.
-STACK_BLOCK = 128
 
 
 @dataclass
@@ -125,7 +119,11 @@ def _check_branches(branches: int) -> None:
 
 
 def _blocks(trials: int, matrices_per_trial: int):
-    """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least)."""
+    """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least).
+
+    A C3 trial needs ``branches + 1`` matrices, so at 128 branches or more a
+    block is one trial.
+    """
     step = max(1, STACK_BLOCK // matrices_per_trial)
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 

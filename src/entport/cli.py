@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TextIO
@@ -29,7 +29,7 @@ import numpy as np
 from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3, check_trials
 from .entanglement import entropy_vs_negativity_curve, negativities
 from .matkernel import herm_eigvals, partial_transpose
-from .states import WernerChannel, seed_state, werner_states
+from .states import WernerChannel, werner_states
 from .teleport import (
     _entanglement,
     _fidelity,
@@ -38,7 +38,7 @@ from .teleport import (
     fidelity_closed_form,
     final_entanglement_closed_form,
     final_information_closed_form,
-    simulate,
+    simulate_grid,
 )
 
 #: Every checked closed-vs-simulated gap must lie below this, in sweep and verify alike.
@@ -136,19 +136,30 @@ def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
     return 0
 
 
-def compare(e0: float, phi: float) -> tuple[dict, dict]:
-    """The closed forms against the simulation at one (e0, phi) point.
+def compare(grid: SweepGrid) -> Iterator[tuple[dict, dict]]:
+    """The closed forms against the simulation at every (e0, phi) point of ``grid``.
 
-    Returns the sweep row and the named gaps that ``verify`` folds.  The
-    closed forms are read at ``ew = max(0, phi)``.  The entanglement gap is
-    gated on both branches, the fidelity and information gaps on phi >= 0
-    only.  On phi < 0 the gaps are the simulated entanglement, which must
-    vanish, and the ungated readings: phi substituted into the cores, and ew = 0.
+    Yields, e0 by e0 and phi by phi within each, the sweep row and the named
+    gaps that ``verify`` folds.  The simulation runs over the whole grid at
+    once through :func:`simulate_grid`; the closed forms, which take
+    microseconds, run per point as it is yielded, read at ``ew = max(0, phi)``.
+    The entanglement gap is gated on both branches, the fidelity and
+    information gaps on phi >= 0 only.  On phi < 0 the gaps are the
+    simulated entanglement, which must vanish, and the ungated readings:
+    phi substituted into the cores, and ew = 0.
     """
-    channel = WernerChannel(phi)
-    ew = channel.ew
-    report = simulate(seed_state(e0), channel)
-    fid, ent, info = report.averaged_fidelity, report.final_entanglement, report.final_information
+    e0_points = np.repeat(grid.e0_values, len(grid.phi_values))
+    phi_points = np.tile(grid.phi_values, len(grid.e0_values))
+    sim = simulate_grid(e0_points, phi_points)
+    for e0, phi, fid, ent, info in zip(
+        e0_points, phi_points, sim.averaged_fidelity, sim.final_entanglement, sim.final_information
+    ):
+        yield _compare_point(float(e0), float(phi), float(fid), float(ent), info.tolist())
+
+
+def _compare_point(e0: float, phi: float, fid: float, ent: float, info: list) -> tuple[dict, dict]:
+    """The row and gaps of one point, from its simulated fidelity, entanglement and information."""
+    ew = WernerChannel(phi).ew
     fid_closed = fidelity_closed_form(e0, ew)
     ent_closed = final_entanglement_closed_form(e0, ew)
     info_closed = final_information_closed_form(e0, ew)
@@ -157,7 +168,7 @@ def compare(e0: float, phi: float) -> tuple[dict, dict]:
     if phi >= 0.0:
         gaps["fidelity_oracle_grid"] = abs(fid_closed - fid)
         gaps["information_oracle_grid"] = max(
-            abs(closed - sim) for closed, sim in zip(info_values, vars(info).values())
+            abs(closed - sim) for closed, sim in zip(info_values, info)
         )
         discrepancy = max(gaps.values())
     else:
@@ -166,10 +177,8 @@ def compare(e0: float, phi: float) -> tuple[dict, dict]:
             entanglement_zero_at_ew_zero=ent,
             fidelity_phi_substitution_max_delta=abs(_fidelity(e0, phi) - fid),
             fidelity_ew_zero_max_delta=abs(fid_closed - fid),
-            information_total_phi_substitution_max_delta=abs(
-                _information(e0, phi).total - info.total
-            ),
-            information_total_ew_zero_max_delta=abs(info_closed.total - info.total),
+            information_total_phi_substitution_max_delta=abs(_information(e0, phi).total - info[0]),
+            information_total_ew_zero_max_delta=abs(info_closed.total - info[0]),
             entanglement_clamped_max_delta=abs(ent_closed - ent),
             entanglement_phi_substitution_max_delta=abs(_entanglement(e0, phi) - ent),
         )
@@ -182,7 +191,7 @@ def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
     """Evaluate the closed forms and the simulation over a grid; write rows."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    rows = [compare(e0, phi)[0] for e0 in grid.e0_values for phi in grid.phi_values]
+    rows = [row for row, _ in compare(grid)]
 
     def write(handle):
         if fmt == "csv":
@@ -223,10 +232,9 @@ def _werner_fixture_checks() -> list[dict]:
 def _oracle_grid_checks() -> tuple[list[dict], dict]:
     """The gated oracle-grid checks and, left over, the phi < 0 readings, from ``compare``."""
     worst: dict = {}
-    for e0 in DEFAULT_E0_GRID:
-        for phi in DEFAULT_PHI_GRID:
-            for name, gap in compare(e0, phi)[1].items():
-                worst[name] = max(worst.get(name, 0.0), gap)
+    for _, gaps in compare(SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID))):
+        for name, gap in gaps.items():
+            worst[name] = max(worst.get(name, 0.0), gap)
     worst["correlation_info_consistency"] = max(
         abs(
             correlation_info_from_entanglement(final_entanglement_closed_form(e0, ew), ew)

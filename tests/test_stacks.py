@@ -392,3 +392,33 @@ def test_single_state_entry_points_reject_stacks():
     ):
         with pytest.raises(ValueError):
             call(stack)
+
+
+def test_draws_equal_the_linalg_norm_form():
+    """``_draw_su2`` and ``_draw_bloch`` normalise without ``np.linalg.norm``, to the same bits."""
+
+    def su2_with_norm(gen):
+        z = gen.standard_normal(2) + 1j * gen.standard_normal(2)
+        return z / np.linalg.norm(z)
+
+    def bloch_with_norm(gen):
+        r = gen.standard_normal(3)
+        norm = np.linalg.norm(r)
+        return r * (gen.random() ** (1.0 / 3.0) / norm) if norm > 0 else r
+
+    for seed in range(2_000):
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.concatenate([_draw_su2(gen), _draw_bloch(gen), _draw_su2(gen)])
+        expected = np.concatenate([su2_with_norm(ref), bloch_with_norm(ref), su2_with_norm(ref)])
+        assert np.array_equal(got.view(float), expected.view(float)), seed
+
+
+def test_unit_trace_check_keeps_each_message():
+    from entport.states import hs_decompose
+
+    with pytest.raises(ValueError, match=r"^matrix must have unit trace, got"):
+        hs_decompose(np.eye(4))
+    with pytest.raises(ValueError, match=r"^density matrix must have unit trace, got"):
+        check_density_matrix(np.eye(4))
+    with pytest.raises(ValueError, match=r"^stack item 1: density matrix must have unit trace"):
+        check_density_matrix(np.array([seed_state(0.1), 2 * seed_state(0.1)]))
