@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TextIO
@@ -29,13 +29,12 @@ import numpy as np
 from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3, check_trials
 from .entanglement import entropy_vs_negativity_curve, negativities
 from .matkernel import herm_eigvals, partial_transpose
-from .states import WernerChannel, werner_states
+from .states import _check_range, _werner_ew, werner_states
 from .teleport import (
     _entanglement,
     _fidelity,
     _information,
     correlation_info_from_entanglement,
-    fidelity_closed_form,
     final_entanglement_closed_form,
     final_information_closed_form,
     simulate_grid,
@@ -53,6 +52,10 @@ NEGATIVITY_TOL = 1e-10
 #: Largest ``count`` accepted in a ``start:stop:count`` range, checked before
 #: the values are allocated.
 MAX_RANGE_COUNT = 10_000
+
+#: Most (e0, phi) points a sweep accepts, checked before the grid is expanded.  At the cap
+#: the ``tracemalloc`` peak of ``cmd_sweep`` is 22 MiB for CSV, 86 MiB for JSON (row dicts).
+MAX_GRID_POINTS = 100_000
 
 DEFAULT_E0_GRID = tuple(round(0.1 * i, 10) for i in range(11))
 DEFAULT_PHI_GRID = tuple(-1.0 + 0.25 * i for i in range(9))
@@ -81,12 +84,11 @@ class SweepGrid:
     phi_values: list[float]
 
     def __post_init__(self):
-        if not self.e0_values or not self.phi_values:
-            raise ValueError("sweep grid must be nonempty")
-        if any(not 0.0 <= v <= 1.0 for v in self.e0_values):
-            raise ValueError("e0 values must lie in [0, 1]")
-        if any(not -1.0 <= v <= 1.0 for v in self.phi_values):
-            raise ValueError("phi values must lie in [-1, 1]")
+        points = len(self.e0_values) * len(self.phi_values)
+        if not 1 <= points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid points must lie in [1, {MAX_GRID_POINTS}], got {points}")
+        _check_range("e0", self.e0_values, 0.0, 1.0)
+        _check_range("phi", self.phi_values, -1.0, 1.0)
 
 
 def parse_values(text: str) -> list[float]:
@@ -97,6 +99,8 @@ def parse_values(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if not np.isfinite([start, stop]).all():
+            raise ValueError(f"range endpoints must be finite, got {text!r}")
         if not 1 <= count <= MAX_RANGE_COUNT:
             raise ValueError(f"range count must lie in [1, {MAX_RANGE_COUNT}], got {count}")
         return [float(x) for x in np.linspace(start, stop, count)]
@@ -136,54 +140,45 @@ def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
     return 0
 
 
-def compare(grid: SweepGrid) -> Iterator[tuple[dict, dict]]:
+def compare(grid: SweepGrid) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """The closed forms against the simulation at every (e0, phi) point of ``grid``.
 
-    Yields, e0 by e0 and phi by phi within each, the sweep row and the named
-    gaps that ``verify`` folds.  The simulation runs over the whole grid at
-    once through :func:`simulate_grid`; the closed forms, which take
-    microseconds, run per point as it is yielded, read at ``ew = max(0, phi)``.
-    The entanglement gap is gated on both branches, the fidelity and
-    information gaps on phi >= 0 only.  On phi < 0 the gaps are the
-    simulated entanglement, which must vanish, and the ungated readings:
-    phi substituted into the cores, and ew = 0.
+    Returns the ``SWEEP_COLUMNS`` as arrays over the points, e0 by e0 and phi by phi
+    within each, and each named gap that ``verify`` folds as an array over the points
+    where it is read: every point for the entanglement, phi >= 0 for the fidelity and
+    information, phi < 0 for the vanishing simulated entanglement and the ungated
+    readings (phi substituted into the cores, and ew = 0).  The simulation and the
+    closed forms, read at ``ew = max(0, phi)``, each run once over the whole grid.
     """
-    e0_points = np.repeat(grid.e0_values, len(grid.phi_values))
-    phi_points = np.tile(grid.phi_values, len(grid.e0_values))
-    sim = simulate_grid(e0_points, phi_points)
-    for e0, phi, fid, ent, info in zip(
-        e0_points, phi_points, sim.averaged_fidelity, sim.final_entanglement, sim.final_information
-    ):
-        yield _compare_point(float(e0), float(phi), float(fid), float(ent), info.tolist())
+    e0 = np.repeat(grid.e0_values, len(grid.phi_values))
+    phi = np.tile(grid.phi_values, len(grid.e0_values))
+    sim = simulate_grid(e0, phi)
+    fid, ent, info = sim.averaged_fidelity, sim.final_entanglement, sim.final_information
+    ew = _werner_ew(phi)
+    fid_closed, ent_closed = _fidelity(e0, ew), _entanglement(e0, ew)
+    info_closed = _information(e0, ew)
 
+    ent_gap = np.abs(ent_closed - ent)
+    fid_gap = np.abs(fid_closed - fid)
+    info_gap = np.abs(np.column_stack(info_closed) - info).max(axis=1)
+    gated, negative = phi >= 0.0, phi < 0.0
+    discrepancy = np.where(gated, np.maximum(np.maximum(ent_gap, fid_gap), info_gap), ent_gap)
+    values = (e0, phi, ew, fid_closed, fid, ent_closed, ent, *info_closed, discrepancy)
 
-def _compare_point(e0: float, phi: float, fid: float, ent: float, info: list) -> tuple[dict, dict]:
-    """The row and gaps of one point, from its simulated fidelity, entanglement and information."""
-    ew = WernerChannel(phi).ew
-    fid_closed = fidelity_closed_form(e0, ew)
-    ent_closed = final_entanglement_closed_form(e0, ew)
-    info_closed = final_information_closed_form(e0, ew)
-    info_values = vars(info_closed).values()  # total, individual_a, individual_b, correlation
-    gaps = {"entanglement_oracle_grid": abs(ent_closed - ent)}
-    if phi >= 0.0:
-        gaps["fidelity_oracle_grid"] = abs(fid_closed - fid)
-        gaps["information_oracle_grid"] = max(
-            abs(closed - sim) for closed, sim in zip(info_values, info)
-        )
-        discrepancy = max(gaps.values())
-    else:
-        discrepancy = gaps["entanglement_oracle_grid"]
-        gaps.update(
-            entanglement_zero_at_ew_zero=ent,
-            fidelity_phi_substitution_max_delta=abs(_fidelity(e0, phi) - fid),
-            fidelity_ew_zero_max_delta=abs(fid_closed - fid),
-            information_total_phi_substitution_max_delta=abs(_information(e0, phi).total - info[0]),
-            information_total_ew_zero_max_delta=abs(info_closed.total - info[0]),
-            entanglement_clamped_max_delta=abs(ent_closed - ent),
-            entanglement_phi_substitution_max_delta=abs(_entanglement(e0, phi) - ent),
-        )
-
-    values = (e0, phi, ew, fid_closed, fid, ent_closed, ent, *info_values, discrepancy)
+    gaps = {
+        "entanglement_oracle_grid": ent_gap,
+        "fidelity_oracle_grid": fid_gap[gated],
+        "information_oracle_grid": info_gap[gated],
+        "entanglement_zero_at_ew_zero": ent[negative],
+        "fidelity_phi_substitution_max_delta": np.abs(_fidelity(e0, phi) - fid)[negative],
+        "fidelity_ew_zero_max_delta": fid_gap[negative],
+        "information_total_phi_substitution_max_delta": np.abs(
+            _information(e0, phi)[0] - info[:, 0]
+        )[negative],
+        "information_total_ew_zero_max_delta": np.abs(info_closed[0] - info[:, 0])[negative],
+        "entanglement_clamped_max_delta": ent_gap[negative],
+        "entanglement_phi_substitution_max_delta": np.abs(_entanglement(e0, phi) - ent)[negative],
+    }
     return dict(zip(SWEEP_COLUMNS, values)), gaps
 
 
@@ -191,21 +186,21 @@ def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
     """Evaluate the closed forms and the simulation over a grid; write rows."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    rows = [row for row, _ in compare(grid)]
+    columns, _ = compare(grid)
 
     def write(handle):
+        rows = zip(*columns.values())
         if fmt == "csv":
             handle.write(",".join(SWEEP_COLUMNS) + "\n")
             for row in rows:
-                handle.write(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS) + "\n")
+                handle.write(",".join(map(_fmt, row)) + "\n")
         else:
-            json.dump(rows, handle, indent=2, sort_keys=True)
+            json.dump([dict(zip(columns, row)) for row in rows], handle, indent=2, sort_keys=True)
             handle.write("\n")
 
     if _write_atomic(out_path, write):
         return 2
-    worst = max(row["max_abs_discrepancy"] for row in rows)
-    return 0 if worst < DISCREPANCY_TOL else 1
+    return 0 if columns["max_abs_discrepancy"].max() < DISCREPANCY_TOL else 1
 
 
 def _check(name: str, max_violation: float, tolerance: float) -> dict:
@@ -225,16 +220,14 @@ def _werner_fixture_checks() -> list[dict]:
     return [
         _check("werner_eigs", np.abs(herm_eigvals(states) - expected).max(), SPECTRUM_TOL),
         _check("werner_pt_eigs", np.abs(pt_eigs - expected_pt).max(), SPECTRUM_TOL),
-        _check("werner_negativity", np.abs(neg - np.maximum(0.0, phi)).max(), NEGATIVITY_TOL),
+        _check("werner_negativity", np.abs(neg - _werner_ew(phi)).max(), NEGATIVITY_TOL),
     ]
 
 
 def _oracle_grid_checks() -> tuple[list[dict], dict]:
     """The gated oracle-grid checks and, left over, the phi < 0 readings, from ``compare``."""
-    worst: dict = {}
-    for _, gaps in compare(SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID))):
-        for name, gap in gaps.items():
-            worst[name] = max(worst.get(name, 0.0), gap)
+    _, gaps = compare(SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID)))
+    worst = {name: float(gap.max(initial=0.0)) for name, gap in gaps.items()}
     worst["correlation_info_consistency"] = max(
         abs(
             correlation_info_from_entanglement(final_entanglement_closed_form(e0, ew), ew)

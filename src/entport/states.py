@@ -18,6 +18,7 @@ from .matkernel import (
     _check_hermitian,
     _check_unit_trace,
     _kron,
+    _nonnegative,
     _single,
     _stack_item,
     adjoint,
@@ -59,6 +60,9 @@ BOB_CORRECTIONS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 UNITARITY_ATOL = 1e-10
 
+#: A Pauli correction's rotation is within a few eps of ``-P_alpha``; a wrong one misses by 2.
+ROTATION_ATOL = 1e-12
+
 
 def _check_unitary(u, atol: float = UNITARITY_ATOL) -> np.ndarray:
     """Validate a qubit unitary, or every item of a ``(..., 2, 2)`` stack."""
@@ -70,7 +74,9 @@ def _check_unitary(u, atol: float = UNITARITY_ATOL) -> np.ndarray:
     return u
 
 
-def _check_range(name: str, values: np.ndarray, lo: float, hi: float) -> None:
+def _check_range(name: str, values, lo: float, hi: float) -> None:
+    """Reject any of ``values`` (a number or an array) outside [lo, hi], NaN included."""
+    values = np.asarray(values, dtype=float)
     inside = (values >= lo) & (values <= hi)  # False for NaN
     if not inside.all():
         index = _stack_item(~inside)
@@ -85,6 +91,11 @@ def _seed_polarisation(c0):
 def _werner_f(phi):
     """``f = (2 phi + 1) / 3``, the correlation scale of the Werner state, elementwise."""
     return (2.0 * phi + 1.0) / 3.0
+
+
+def _werner_ew(phi):
+    """``ew = max(0, phi)``, the entanglement of the Werner state, elementwise (never -0.0)."""
+    return _nonnegative(phi)
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,7 @@ class SeedParams:
     c0: float
 
     def __post_init__(self):
-        if not -1.0 <= self.c0 <= 1.0:
-            raise ValueError(f"c0 must lie in [-1, 1], got {self.c0}")
+        _check_range("c0", self.c0, -1.0, 1.0)
 
     @property
     def a0(self) -> float:
@@ -153,8 +163,7 @@ class WernerChannel:
     phi: float
 
     def __post_init__(self):
-        if not -1.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi must lie in [-1, 1], got {self.phi}")
+        _check_range("phi", self.phi, -1.0, 1.0)
 
     @property
     def f(self) -> float:
@@ -162,7 +171,7 @@ class WernerChannel:
 
     @property
     def ew(self) -> float:
-        return max(0.0, self.phi)
+        return float(_werner_ew(self.phi))
 
     def state(self) -> np.ndarray:
         return werner_state(self.phi)
@@ -182,7 +191,7 @@ class BellOutcome:
         # Optimality condition: the correction's Bloch rotation must be the
         # negative of the outcome's sign matrix.
         rot = rotation_from_unitary(self.correction)
-        if np.max(np.abs(rot + self.p_matrix)) > 1e-12:
+        if np.max(np.abs(rot + self.p_matrix)) > ROTATION_ATOL:
             raise ValueError("correction does not rotate by -P_alpha")
 
 

@@ -21,7 +21,6 @@ it gives one input alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ from .information import (
     _information_decomposition,
     _information_decompositions,
 )
-from .matkernel import STACK_BLOCK, _kron, _single, adjoint, check_density_matrix
+from .matkernel import STACK_BLOCK, _kron, _nonnegative, _single, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
@@ -264,9 +263,7 @@ def final_state_closed_form(
     """
     if not isinstance(channel, WernerChannel):
         raise ValueError("channel must be a WernerChannel")
-    return HilbertSchmidtForm(
-        a=form0.a.copy(), b=channel.f * form0.b, c=channel.f * form0.c
-    )
+    return HilbertSchmidtForm(a=form0.a.copy(), b=channel.f * form0.b, c=channel.f * form0.c)
 
 
 def fidelity_general(
@@ -282,31 +279,27 @@ def fidelity_general(
     return simulate(rho12, channel, strategy).averaged_fidelity
 
 
-def _check_unit_interval(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-# Each closed form once, for any w in [-1, 1]; ``verify`` also reads them at w = phi < 0,
-# where the entanglement radicand can round below zero (it vanishes at w = -1/2, e0 = 1).
-def _fidelity(e0: float, w: float) -> float:
+# Each closed form once, elementwise over numbers or arrays, for any w in [-1, 1];
+# ``verify`` also reads them at w = phi < 0, where the entanglement radicand can
+# round below zero (it vanishes at w = -1/2, e0 = 1).
+def _fidelity(e0, w):
     return (w + 2.0) / 3.0 + (w - 1.0) / 6.0 * e0 * e0
 
 
-def _entanglement(e0: float, w: float) -> float:
+def _entanglement(e0, w):
     u = 1.0 - w
-    return (math.sqrt(max(0.0, u * u + 3.0 * w * (2.0 + w) * e0 * e0)) - u) / 3.0
+    return (np.sqrt(_nonnegative(u * u + 3.0 * w * (2.0 + w) * e0 * e0)) - u) / 3.0
 
 
-def _information(e0: float, w: float) -> InformationReport:
+def _information(e0, w):
+    """Total, individual_a, individual_b and correlation, in :class:`InformationReport` order."""
     g = _werner_f(w)
     e0sq = e0 * e0
-    return InformationReport(
-        total=(2.0 / 3.0) * (1.0 + 2.0 * g * g + (g * g - 1.0) * e0sq),
-        individual_a=1.0 - e0sq,
-        individual_b=g * g * (1.0 - e0sq),
-        correlation=g * g * (2.0 / 3.0) * (4.0 - e0sq) * e0sq,
+    return (
+        (2.0 / 3.0) * (1.0 + 2.0 * g * g + (g * g - 1.0) * e0sq),
+        1.0 - e0sq,
+        g * g * (1.0 - e0sq),
+        g * g * (2.0 / 3.0) * (4.0 - e0sq) * e0sq,
     )
 
 
@@ -318,8 +311,9 @@ def fidelity_closed_form(e0: float, ew: float) -> float:
     1 for a perfect channel, down to 2/3 at ``e0 = ew = 0`` and 1/2 at
     ``e0 = 1, ew = 0``.
     """
-    _check_unit_interval(e0=e0, ew=ew)
-    return _fidelity(e0, ew)
+    _check_range("e0", e0, 0.0, 1.0)
+    _check_range("ew", ew, 0.0, 1.0)
+    return float(_fidelity(e0, ew))
 
 
 def final_entanglement_closed_form(e0: float, ew: float) -> float:
@@ -329,8 +323,9 @@ def final_entanglement_closed_form(e0: float, ew: float) -> float:
     either argument is zero, equal to ``e0`` for a perfect channel, and
     strictly positive whenever both arguments are.
     """
-    _check_unit_interval(e0=e0, ew=ew)
-    return _entanglement(e0, ew)
+    _check_range("e0", e0, 0.0, 1.0)
+    _check_range("ew", ew, 0.0, 1.0)
+    return float(_entanglement(e0, ew))
 
 
 def final_information_closed_form(e0: float, ew: float) -> InformationReport:
@@ -341,8 +336,9 @@ def final_information_closed_form(e0: float, ew: float) -> InformationReport:
     and so is the correlation information ``2 (4 - e0^2) e0^2 / 3`` of the
     initial state.
     """
-    _check_unit_interval(e0=e0, ew=ew)
-    return _information(e0, ew)
+    _check_range("e0", e0, 0.0, 1.0)
+    _check_range("ew", ew, 0.0, 1.0)
+    return InformationReport(*map(float, _information(e0, ew)))
 
 
 def correlation_info_from_entanglement(e: float, ew: float) -> float:
@@ -357,7 +353,8 @@ def correlation_info_from_entanglement(e: float, ew: float) -> float:
     """
     if ew <= 0.0:
         raise ValueError(f"ew must be positive, got {ew}")
-    _check_unit_interval(e=e, ew=ew)
+    _check_range("e", e, 0.0, 1.0)
+    _check_range("ew", ew, 0.0, 1.0)
     e0sq = e * (3.0 * e + 2.0 * (1.0 - ew)) / (ew * (2.0 + ew))
     g = _werner_f(ew)
     return g * g * (2.0 / 3.0) * e0sq * (4.0 - e0sq)

@@ -1,25 +1,28 @@
-"""Every public scalar entry point rejects NaN, infinite and out-of-range input.
+"""Every public entry point rejects NaN, infinite and out-of-range input.
 
 A check written as ``x < lo or x > hi`` lets NaN through, because every
 comparison with NaN is False; these properties feed such values to each entry
-point and require a ``ValueError``.
+point, scalar and matrix alike, and require a ``ValueError``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entport.cli import SweepGrid
-from entport.information import observable_information
-from entport.states import seed_state, werner_state
+from entport.cli import SweepGrid, main
+from entport.entanglement import entropy_of_entanglement, negativities, negativity
+from entport.information import information_decomposition, observable_information
+from entport.states import SeedParams, WernerChannel, hs_decompose, seed_state, werner_state
 from entport.teleport import (
     correlation_info_from_entanglement,
     fidelity_closed_form,
     final_entanglement_closed_form,
     final_information_closed_form,
+    simulate,
 )
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -124,3 +127,75 @@ def test_observable_information_nan_regressions():
     with pytest.raises(ValueError, match="k must be a positive integer"):
         observable_information([0.5, 0.5], True)
     assert observable_information([1.0, 0.0], np.int64(1)) == 1.0
+
+
+def test_scalar_range_messages_name_the_value():
+    with pytest.raises(ValueError) as excinfo:
+        fidelity_closed_form(math.nan, 0.5)
+    assert str(excinfo.value) == "e0 must lie in [0, 1], got nan"
+    with pytest.raises(ValueError) as excinfo:
+        correlation_info_from_entanglement(0.5, 1.5)
+    assert str(excinfo.value) == "ew must lie in [0, 1], got 1.5"
+    with pytest.raises(ValueError) as excinfo:
+        WernerChannel(-math.inf)
+    assert str(excinfo.value) == "phi must lie in [-1, 1], got -inf"
+    with pytest.raises(ValueError) as excinfo:
+        SeedParams(1.5)
+    assert str(excinfo.value) == "c0 must lie in [-1, 1], got 1.5"
+
+
+def test_grid_range_messages_name_the_item():
+    with pytest.raises(ValueError) as excinfo:
+        SweepGrid([0.0, 0.1, 0.2, 1.5], [0.0])
+    assert str(excinfo.value) == "stack item 3: e0 must lie in [0, 1], got 1.5"
+    with pytest.raises(ValueError) as excinfo:
+        SweepGrid([0.5], [0.0, math.nan])
+    assert str(excinfo.value) == "stack item 1: phi must lie in [-1, 1], got nan"
+
+
+# Each entry point takes one 4x4 state; ``negativities`` gets it as the middle
+# item of a stack of three valid states.
+MATRIX_ENTRY_POINTS = {
+    "negativity": negativity,
+    "negativities": lambda rho: negativities(np.stack([seed_state(0.5), rho, werner_state(0.2)])),
+    "simulate": lambda rho: simulate(rho, WernerChannel(0.5)),
+    "hs_decompose": hs_decompose,
+    "information_decomposition": information_decomposition,
+    "entropy_of_entanglement": entropy_of_entanglement,
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_ENTRY_POINTS)
+@given(
+    c0=inside(0.0, 1.0),
+    row=st.integers(min_value=0, max_value=3),
+    col=st.integers(min_value=0, max_value=3),
+    bad=NON_FINITE,
+    imaginary=st.booleans(),
+)
+def test_matrix_entry_points_reject_non_finite_entries(name, c0, row, col, bad, imaginary):
+    rho = seed_state(c0)
+    rho[row, col] = complex(0.0, bad) if imaginary else bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        MATRIX_ENTRY_POINTS[name](rho)
+
+
+def test_negativities_names_the_non_finite_item():
+    stack = np.stack([seed_state(0.5), werner_state(0.2), seed_state(0.1)])
+    stack[2, 0, 3] = math.inf
+    with pytest.raises(ValueError, match="^stack item 2: matrix entries must be finite$"):
+        negativities(stack)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--e0", "nan"], ["--e0", "0,inf"], ["--phi", "0:inf:3"], ["--phi", "nan:1:3"]],
+    ids=lambda flags: " ".join(flags),
+)
+def test_cli_rejects_non_finite_values(flags, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy computes with them
+        assert main(["sweep", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")

@@ -9,7 +9,7 @@ import pytest
 
 import entport.cli as cli
 from entport.axioms import MAX_TRIALS, check_c1, check_c2, check_c3
-from entport.cli import cmd_curve, cmd_verify, main
+from entport.cli import MAX_GRID_POINTS, SweepGrid, cmd_curve, cmd_verify, main, parse_values
 
 
 class TestTrialCap:
@@ -45,6 +45,33 @@ class TestTrialCap:
 
         small, large = peak(2_000), peak(20_000)
         assert large <= 1.1 * small, (small, large)
+
+
+class TestGridCap:
+    def test_cli_rejects_a_grid_over_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--e0", "0:1:10000", "--phi", "-1:1:10000", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "grid points must lie in [1, 100000], got 100000000" in capsys.readouterr().err
+
+    def test_grid_is_rejected_before_it_is_expanded(self):
+        e0, phi = parse_values("0:1:10000"), parse_values("-1:1:10000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"grid points must lie in \[1, 100000\]"):
+                SweepGrid(e0, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    def test_cap_is_on_the_product_of_the_axes(self):
+        assert MAX_GRID_POINTS == 250 * 400
+        SweepGrid(parse_values("0:1:250"), parse_values("-1:1:400"))
+        with pytest.raises(ValueError, match="got 100250"):
+            SweepGrid(parse_values("0:1:250"), parse_values("-1:1:401"))
+        with pytest.raises(ValueError, match=r"grid points must lie in \[1, 100000\], got 0"):
+            SweepGrid([], [0.0])
 
 
 def names_in(directory):

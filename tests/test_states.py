@@ -252,6 +252,14 @@ class TestBellProjectors:
         with pytest.raises(ValueError):
             bell_outcome(-1)
 
+    def test_bell_outcome_rejects_a_correction_for_another_outcome(self):
+        from entport.states import BellOutcome
+
+        for alpha in range(4):
+            for other in set(range(4)) - {alpha}:
+                with pytest.raises(ValueError, match="does not rotate by -P_alpha"):
+                    BellOutcome(alpha, BELL_SIGN_MATRICES[alpha], BOB_CORRECTIONS[other])
+
 
 class TestRotationFromUnitary:
     def test_identity(self):
