@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import (
-    _nonnegative,
-    _partial_trace,
-    _purities,
-    _single,
-    check_density_matrix,
-    purity,
-)
+from .matkernel import _nonnegative, _partial_trace, _purities, _single, check_density_matrix
 
 #: |correlation| below this is clamped to zero (roundoff on product states).
 CORRELATION_CLAMP = 1e-12
@@ -88,7 +81,7 @@ def total_information(rho: np.ndarray) -> float:
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 density matrix, got {rho.shape}")
     rho = check_density_matrix(rho, dim=rho.shape[0])
-    return float(_information_from_purity(purity(rho), rho.shape[0]))
+    return float(_information_from_purity(_purities(rho), rho.shape[0]))
 
 
 def _information_from_purity(p, dim: int):
@@ -105,12 +98,8 @@ def information_decomposition(rho: np.ndarray) -> InformationReport:
     states; the correlation term is the total minus the information of the
     product of the reduced states.
     """
-    return _information_decomposition(_single(check_density_matrix(rho, dim=4)))
-
-
-def _information_decomposition(rho: np.ndarray) -> InformationReport:
-    """:func:`information_decomposition` of an already validated density matrix."""
-    return InformationReport(*(float(x) for x in _information_decompositions(rho)))
+    rho = _single(check_density_matrix(rho, dim=4))
+    return InformationReport(*map(float, _information_decompositions(rho)))
 
 
 def _information_decompositions(rho: np.ndarray) -> np.ndarray:

@@ -4,11 +4,18 @@ Operators are plain ``numpy`` arrays of dimension 2, 4 or 16 (dimension 16
 only appears transiently, for the four-particle state before the Bell
 measurement).  ``as_operator``, ``adjoint``, ``tensor``/``_kron``,
 ``partial_transpose``, ``herm_eigvals``, ``check_density_matrix`` and the
-unchecked cores ``_partial_trace`` and ``_purities`` also take stacks of shape
-``(..., d, d)``: they act on every matrix of the stack at once, and each
-item comes out bit for bit as it would alone.  All
-functions are pure, never mutate their arguments and are safe to call
-concurrently.
+unchecked cores also take stacks of shape ``(..., d, d)``: they act on every
+matrix of the stack at once, and each item comes out bit for bit as it would
+alone.  All functions are pure, never mutate their arguments and are safe to
+call concurrently.
+
+Input is validated once, at the public entry points.  The four unchecked
+cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and
+``_purities`` (and ``_kron``, behind ``tensor``) work on input that is
+already validated and check nothing; ``partial_trace``,
+``partial_transpose``, ``herm_eigvals`` and ``purity`` validate, then call
+them.  ``_single`` is the gate of the entry points that take one matrix and
+not a stack.
 
 Downstream formulas are exact rationals in the inputs, so roundoff is the
 only noise source; the tolerances below are sized accordingly.
@@ -141,7 +148,11 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     Maps the entry at ((i, k), (j, l)) to ((i, l), (j, k)).  Applying it
     twice returns the input; trace and Hermiticity are preserved.
     """
-    m = as_operator(m, dims=(4,))
+    return _partial_transpose(as_operator(m, dims=(4,)))
+
+
+def _partial_transpose(m: np.ndarray) -> np.ndarray:
+    """:func:`partial_transpose` of a 4x4 operator or of each in a stack, unchecked."""
     lead = m.shape[:-2]
     return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
@@ -170,9 +181,16 @@ def herm_eigvals(m: np.ndarray) -> np.ndarray:
     solved by one ``eigvalsh`` call and gives ``(..., d)`` eigenvalues.
     """
     m = as_operator(m)
-    m_h = adjoint(m)
-    _check_hermitian(m, m_h, "matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh((m + m_h) / 2)
+    _check_hermitian(m, adjoint(m), "matrix is not Hermitian within tolerance")
+    return _herm_eigvals(m)
+
+
+def _herm_eigvals(m: np.ndarray) -> np.ndarray:
+    """:func:`herm_eigvals` of an operator or of each in a stack, unchecked.
+
+    The one symmetrised eigensolve, ``eigvalsh((m + m^dagger) / 2)``.
+    """
+    return np.linalg.eigvalsh((m + adjoint(m)) / 2)
 
 
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
@@ -185,10 +203,9 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """
     dims = (dim,) if dim is not None else ALLOWED_DIMS
     rho = as_operator(rho, dims=dims)
-    rho_h = adjoint(rho)
-    _check_hermitian(rho, rho_h, "density matrix must be Hermitian")
+    _check_hermitian(rho, adjoint(rho), "density matrix must be Hermitian")
     _check_unit_trace(rho, "density matrix must have unit trace")
-    lowest = np.linalg.eigvalsh((rho + rho_h) / 2)[..., 0]
+    lowest = _herm_eigvals(rho)[..., 0]
     bad_eig = lowest < -PSD_ATOL
     if bad_eig.any():
         index = _stack_item(bad_eig)

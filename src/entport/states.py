@@ -9,6 +9,7 @@ density matrix itself, and its expansion over Pauli tensor products
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,20 @@ def _check_range(name: str, values, lo: float, hi: float) -> None:
         raise StackItemError(index, f"{name} must lie in [{lo:g}, {hi:g}], got {values[index]}")
 
 
+def _check_number(name: str, x, lo: float, hi: float) -> float:
+    """``x`` as a float, if it is one real number in [lo, hi]; the gate of scalar parameters.
+
+    Accepts Python and numpy numbers and 0-d arrays; anything else (an array
+    of several numbers, a string, a complex number) is a ``ValueError``, as
+    is NaN or a value outside [lo, hi].
+    """
+    value = x[()] if isinstance(x, np.ndarray) else x
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a single real number, got {x!r}")
+    _check_range(name, value, lo, hi)
+    return float(value)
+
+
 def _seed_polarisation(c0):
     """``a0 = sqrt(1 - c0^2)`` of the seed state, elementwise."""
     return np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
@@ -140,7 +155,7 @@ class SeedParams:
     c0: float
 
     def __post_init__(self):
-        _check_range("c0", self.c0, -1.0, 1.0)
+        object.__setattr__(self, "c0", _check_number("c0", self.c0, -1.0, 1.0))
 
     @property
     def a0(self) -> float:
@@ -163,7 +178,7 @@ class WernerChannel:
     phi: float
 
     def __post_init__(self):
-        _check_range("phi", self.phi, -1.0, 1.0)
+        object.__setattr__(self, "phi", _check_number("phi", self.phi, -1.0, 1.0))
 
     @property
     def f(self) -> float:
@@ -299,7 +314,7 @@ def seed_state(c0: float) -> np.ndarray:
     the correlation matrix is ``diag(c0, -c0, 1)``.  Every two-qubit pure
     state is this state up to local unitaries.
     """
-    return seed_states(float(c0))
+    return seed_states(_check_number("c0", c0, -1.0, 1.0))
 
 
 def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -361,7 +376,7 @@ def werner_state(phi: float) -> np.ndarray:
     matrix is ``-f I`` with ``f = (2 phi + 1) / 3``.  Eigenvalues are
     ``(1 - f) / 4`` (three-fold) and ``(1 + 3 f) / 4``.
     """
-    return werner_states(float(phi))
+    return werner_states(_check_number("phi", phi, -1.0, 1.0))
 
 
 #: The four Bell projectors, built once and read-only; index 0 is the singlet.

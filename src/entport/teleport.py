@@ -27,17 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import _negativities
-from .information import (
-    InformationReport,
-    _information_decomposition,
-    _information_decompositions,
-)
+from .information import InformationReport, _information_decompositions
 from .matkernel import STACK_BLOCK, _kron, _nonnegative, _single, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
     HilbertSchmidtForm,
     WernerChannel,
+    _check_number,
     _check_range,
     _check_unitary,
     _read_only,
@@ -221,7 +218,7 @@ def simulate(
         final_state=averaged,
         averaged_fidelity=float(out.averaged_fidelity[0]),
         final_entanglement=float(_negativities(averaged)[0]),
-        final_information=_information_decomposition(averaged),
+        final_information=InformationReport(*map(float, _information_decompositions(averaged))),
     )
 
 
@@ -232,7 +229,8 @@ def simulate_grid(e0, phi) -> GridReport:
     [-1, 1].  The points run through :func:`_protocol` with the optimal
     strategy in blocks of ``PROTOCOL_BLOCK``, so peak memory does not grow
     with the number of points beyond the returned arrays; each value equals
-    the matching :func:`simulate` output bit for bit.
+    the matching :func:`simulate` output bit for bit.  The seed states are
+    built here from the range-checked ``e0``, so they are not validated again.
     """
     e0, phi = np.asarray(e0, dtype=float), np.asarray(phi, dtype=float)
     if e0.ndim != 1 or e0.shape != phi.shape:
@@ -242,8 +240,7 @@ def simulate_grid(e0, phi) -> GridReport:
     out = GridReport(np.empty(len(e0)), np.empty(len(e0)), np.empty((len(e0), 4)))
     for start in range(0, len(e0), PROTOCOL_BLOCK):
         block = slice(start, start + PROTOCOL_BLOCK)
-        rho12 = check_density_matrix(seed_states(e0[block]), dim=4)
-        result = _protocol(rho12, werner_states(phi[block]), _OPTIMAL_STRATEGY)
+        result = _protocol(seed_states(e0[block]), werner_states(phi[block]), _OPTIMAL_STRATEGY)
         out.averaged_fidelity[block] = result.averaged_fidelity
         out.final_entanglement[block] = _negativities(result.final_state)[0]
         out.final_information[block] = _information_decompositions(result.final_state)
@@ -311,8 +308,7 @@ def fidelity_closed_form(e0: float, ew: float) -> float:
     1 for a perfect channel, down to 2/3 at ``e0 = ew = 0`` and 1/2 at
     ``e0 = 1, ew = 0``.
     """
-    _check_range("e0", e0, 0.0, 1.0)
-    _check_range("ew", ew, 0.0, 1.0)
+    e0, ew = _check_number("e0", e0, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
     return float(_fidelity(e0, ew))
 
 
@@ -323,8 +319,7 @@ def final_entanglement_closed_form(e0: float, ew: float) -> float:
     either argument is zero, equal to ``e0`` for a perfect channel, and
     strictly positive whenever both arguments are.
     """
-    _check_range("e0", e0, 0.0, 1.0)
-    _check_range("ew", ew, 0.0, 1.0)
+    e0, ew = _check_number("e0", e0, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
     return float(_entanglement(e0, ew))
 
 
@@ -336,8 +331,7 @@ def final_information_closed_form(e0: float, ew: float) -> InformationReport:
     and so is the correlation information ``2 (4 - e0^2) e0^2 / 3`` of the
     initial state.
     """
-    _check_range("e0", e0, 0.0, 1.0)
-    _check_range("ew", ew, 0.0, 1.0)
+    e0, ew = _check_number("e0", e0, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
     return InformationReport(*map(float, _information(e0, ew)))
 
 
@@ -351,10 +345,9 @@ def correlation_info_from_entanglement(e: float, ew: float) -> float:
     entanglement is identically zero and carries no information about
     ``e0``.  Zero if and only if ``e`` is zero.
     """
-    if ew <= 0.0:
+    e, ew = _check_number("e", e, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
+    if ew == 0.0:
         raise ValueError(f"ew must be positive, got {ew}")
-    _check_range("e", e, 0.0, 1.0)
-    _check_range("ew", ew, 0.0, 1.0)
     e0sq = e * (3.0 * e + 2.0 * (1.0 - ew)) / (ew * (2.0 + ew))
     g = _werner_f(ew)
     return g * g * (2.0 / 3.0) * e0sq * (4.0 - e0sq)

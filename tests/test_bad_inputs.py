@@ -199,3 +199,46 @@ def test_cli_rejects_non_finite_values(flags, tmp_path, capsys):
         assert main(["sweep", *flags, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Each scalar entry point with one parameter replaced by ``x``; the closed forms
+# take it in either argument (the other is 0.5, so ``ew`` stays positive).
+SCALAR_ENTRY_POINTS = {
+    **{f"{f.__name__}(first)": (lambda x, f=f: f(x, 0.5)) for f in CLOSED_FORMS},
+    **{f"{f.__name__}(second)": (lambda x, f=f: f(0.5, x)) for f in CLOSED_FORMS},
+    "seed_state": seed_state,
+    "werner_state": werner_state,
+    "SeedParams": SeedParams,
+    "WernerChannel": WernerChannel,
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
+def test_scalar_entry_points_reject_an_array(name):
+    with pytest.raises(ValueError, match="must be a single real number"):
+        SCALAR_ENTRY_POINTS[name](np.array([0.2, 0.3]))
+
+
+@pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", ["0.3", 0.3 + 0j, [0.3], None], ids=repr)
+def test_scalar_entry_points_reject_what_is_not_a_number(name, bad):
+    with pytest.raises(ValueError, match="must be a single real number"):
+        SCALAR_ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
+def test_scalar_entry_points_accept_numpy_numbers(name):
+    def plain(result):
+        # States are arrays; a closed form's report or number compares as itself.
+        return result.tolist() if isinstance(result, np.ndarray) else result
+
+    expected = plain(SCALAR_ENTRY_POINTS[name](0.3))
+    for x in (np.float64(0.3), np.array(0.3)):
+        assert plain(SCALAR_ENTRY_POINTS[name](x)) == expected
+
+
+def test_parameters_are_stored_as_floats():
+    assert type(SeedParams(np.array(0.5)).c0) is float
+    assert type(WernerChannel(np.float64(0.5)).phi) is float
+    assert WernerChannel(np.array(0.5)) == WernerChannel(0.5)
+    assert type(correlation_info_from_entanglement(np.float64(0.2), np.array(0.5))) is float

@@ -74,6 +74,40 @@ class TestGridCap:
             SweepGrid([], [0.0])
 
 
+class TestJsonSweep:
+    """``sweep --format json`` writes the rows one at a time, with json.dump's bytes."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SweepGrid(list(cli.DEFAULT_E0_GRID), list(cli.DEFAULT_PHI_GRID)),
+            SweepGrid([0.7], [0.2]),
+        ],
+        ids=["11x9", "one point"],
+    )
+    def test_bytes_equal_json_dump_of_the_rows(self, grid, tmp_path):
+        columns, _ = cli.compare(grid)
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        out = tmp_path / "sweep.json"
+        assert cli.cmd_sweep(grid, str(out), "json") == 0
+        assert out.read_text() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+    def test_peak_memory_matches_csv(self, tmp_path):
+        grid = SweepGrid([i / 49 for i in range(50)], [-1.0 + i / 40 for i in range(81)])
+        cli.cmd_sweep(SweepGrid([0.5], [0.5]), str(tmp_path / "warm.json"), "json")
+
+        def peak(fmt: str) -> int:
+            tracemalloc.start()
+            try:
+                cli.cmd_sweep(grid, str(tmp_path / f"sweep.{fmt}"), fmt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        csv_peak, json_peak = peak("csv"), peak("json")
+        assert json_peak <= 1.1 * csv_peak, (csv_peak, json_peak)
+
+
 def names_in(directory):
     return sorted(p.name for p in directory.iterdir())
 

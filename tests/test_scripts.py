@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run from a checkout and print what they promise."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,39 @@ def test_channel_tradeoff_table():
         assert lines[at + 2] == "-" * len(header)
     fidelity_at_ew_zero = lines[lines.index("fidelity") + 3]
     assert fidelity_at_ew_zero == "  0.0 | 0.6667 | 0.6517 | 0.6067 | 0.5000"
+
+
+def test_code_lines():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    src = SCRIPTS.parent / "src"
+    modules = sorted(src.rglob("*.py"))
+    assert [row[0] for row in rows] == [p.relative_to(src).as_posix() for p in modules] + ["src/"]
+    for (_, total, code), path in zip(rows, modules):
+        assert int(total) == len(path.read_text().splitlines()), path
+        assert 0 < int(code) < int(total), path
+    _, total, code = rows[-1]
+    assert int(total) == sum(len(p.read_text().splitlines()) for p in modules)
+    assert int(code) == sum(int(row[2]) for row in rows[:-1])
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = tmp_path / "m.py"
+    source.write_text(
+        '"""Module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "class A:\n"
+        '    """One line."""\n'
+        "\n"
+        "    def f(self):  # code with a comment\n"
+        '        """Two\n        lines."""\n'
+        '        return """not a\n        docstring"""\n'
+    )
+    assert code_lines.count(source) == (13, 4)

@@ -1,0 +1,76 @@
+"""Input is validated once, at the public boundary.
+
+The stacked cores work on input that a public entry point has already checked,
+or that the code built itself from range-checked numbers, so they validate
+nothing.  These tests count the matrix validations (``check_density_matrix``,
+``as_operator`` and the Hermiticity check) by wrapping them wherever the
+package has bound them.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+import entport.axioms
+import entport.cli
+import entport.entanglement
+import entport.information
+import entport.matkernel
+import entport.states
+import entport.teleport
+from entport.cli import DEFAULT_E0_GRID, DEFAULT_PHI_GRID, SweepGrid, compare
+from entport.entanglement import entropy_vs_negativity_curve, negativities
+from entport.states import WernerChannel, seed_state, werner_state
+from entport.teleport import simulate
+
+MODULES = (
+    entport.matkernel,
+    entport.states,
+    entport.entanglement,
+    entport.information,
+    entport.teleport,
+    entport.axioms,
+    entport.cli,
+)
+VALIDATIONS = ("check_density_matrix", "as_operator", "_check_hermitian")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """A counter of the validation calls made while the test runs."""
+    counter = collections.Counter()
+    for name in VALIDATIONS:
+        original = getattr(entport.matkernel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counter[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in MODULES:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+def test_compare_validates_no_matrix(calls):
+    columns, _ = compare(SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID)))
+    assert len(columns["e0"]) == 99
+    assert calls == {}
+
+
+def test_curve_validates_no_matrix(calls):
+    assert len(entropy_vs_negativity_curve(2001)) == 2001
+    assert calls == {}
+
+
+def test_negativities_validates_the_stack_once(calls):
+    stack = np.stack([seed_state(0.5), werner_state(0.3), seed_state(0.0)])
+    negativities(stack)
+    assert calls == {"check_density_matrix": 1, "as_operator": 1, "_check_hermitian": 1}
+
+
+def test_simulate_validates_its_input_once(calls):
+    rho = seed_state(0.6)
+    simulate(rho, WernerChannel(0.5))
+    assert calls == {"check_density_matrix": 1, "as_operator": 1, "_check_hermitian": 1}
