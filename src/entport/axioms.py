@@ -17,13 +17,16 @@ independent.
 
 Each check runs in two steps per block of trials.  First it makes each
 trial's generator calls, in the order the trial's construction consumes
-them, and keeps only the draws.  Then it builds the block's states, local
-unitaries and Kraus families as ``(..., d, d)`` stacks, validates them and
-evaluates every negativity with one stacked eigensolve, and folds the
-per-trial violations in trial order.  Each stacked result equals the
-matrix-by-matrix computation bit for bit, and blocks hold at most
-``STACK_BLOCK`` matrices (or one trial), so memory does not grow with the
-trial count.
+them, and keeps only the raw draws.  A trial makes as few calls as its
+stream allows: Gaussian draws that follow one another are one
+``standard_normal`` call, which gives the same numbers as consecutive calls.
+Then it normalises the block's SU(2) and Bloch vectors as stacks, builds
+the block's states, local unitaries and Kraus families as ``(..., d, d)``
+stacks, validates them and evaluates every negativity with one stacked
+eigensolve, and folds the per-trial violations in trial order.  Each
+stacked result equals the matrix-by-matrix computation bit for bit, and
+blocks hold at most ``STACK_BLOCK`` matrices (or one trial), so memory does
+not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import numpy as np
 from .entanglement import negativities
 from .matkernel import STACK_BLOCK, StackItemError, _kron, _stack_item, adjoint, tensor
 from .states import (
+    _bloch_vectors,
     _check_unitary,
-    _draw_bloch,
-    _draw_su2,
+    _draw_ball,
+    _su2_vectors,
     qubit_states,
     rotated_pure_state,
     su2_matrices,
@@ -113,6 +117,12 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
 
 
+def _check_seed(seed) -> None:
+    # bool is a subclass of int, but True or False given as a seed is a mistake.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _check_branches(branches: int) -> None:
     if not 1 <= branches <= MAX_BRANCHES:
         raise ValueError(f"branches must lie in [1, {MAX_BRANCHES}], got {branches}")
@@ -140,25 +150,26 @@ def _evaluate(check: str, seed: int, trial_of, *parts) -> np.ndarray:
 def _draw_lgm_cc(gen: np.random.Generator, branches: int) -> tuple:
     """The draws behind one :func:`sample_lgm_cc` family, in generator order.
 
-    A complex Gaussian ``(2 * branches, 2)`` matrix for the Kraus set, one
-    SU(2) vector per branch for the conditional unitaries, and whether the
-    measuring side comes first.
+    A complex Gaussian ``(2 * branches, 2)`` matrix for the Kraus set (its
+    real parts, then its imaginary parts), the raw ``(branches, 4)``
+    Gaussians of one SU(2) vector per branch for the conditional unitaries,
+    all from one call, and whether the measuring side comes first.
     """
-    g = gen.standard_normal((2 * branches, 2)) + 1j * gen.standard_normal((2 * branches, 2))
-    z = np.array([_draw_su2(gen) for _ in range(branches)])
-    return g, z, gen.random() < 0.5
+    re, im, z = gen.standard_normal(12 * branches).reshape(3, -1)
+    return (re + 1j * im).reshape(-1, 2), z.reshape(-1, 4), gen.random() < 0.5
 
 
 def _lgm_cc_operators(g, z, measuring_first) -> tuple[np.ndarray, np.ndarray]:
     """``(A, B)`` stacks of shape ``(..., branches, 2, 2)`` from stacked family draws.
 
     The 2x2 blocks of the isometry ``Q`` of ``g = QR`` form a complete Kraus
-    set (for one branch, completeness forces unitarity); ``su2_matrices(z)``
-    are the conditional unitaries, validated as unitary.
+    set (for one branch, completeness forces unitarity); the SU(2) matrices
+    of the raw draws ``z``, normalised here, are the conditional unitaries,
+    validated as unitary.
     """
     q, _ = np.linalg.qr(g)
     kraus = q.reshape(*q.shape[:-2], -1, 2, 2)
-    unitaries = _check_unitary(su2_matrices(z))
+    unitaries = _check_unitary(su2_matrices(_su2_vectors(z)))
     first = np.asarray(measuring_first)[..., None, None, None]
     return np.where(first, kraus, unitaries), np.where(first, unitaries, kraus)
 
@@ -181,37 +192,40 @@ def sample_lgm_cc(rng, branches: int) -> LgmCcFamily:
     return LgmCcFamily(operators=list(zip(a, b)))
 
 
-def _draw_test_state(gen: np.random.Generator) -> tuple:
-    """Draws of one trial state: ``(c0, z1, z2, mixed, lam, phi)``.
+def _su2_pairs(z) -> np.ndarray:
+    """The unchecked SU(2) stacks ``u1, u2`` of ``n`` rows of 8 raw Gaussians.
 
-    The state is the seed state with ``c0`` rotated by the SU(2) matrices of
-    ``z1`` and ``z2``; when ``mixed``, it is mixed with weight ``1 - lam``
+    They come as one ``(2, n, 2, 2)`` array, so ``*_su2_pairs(z)`` unpacks them.
+    """
+    return su2_matrices(_su2_vectors(np.reshape(z, (-1, 2, 4)))).swapaxes(0, 1)
+
+
+def _draw_test_state(gen: np.random.Generator) -> tuple:
+    """Draws of one trial state: ``(c0, z, mixed, lam, phi)``.
+
+    The state is the seed state with ``c0`` rotated by the SU(2) pair of the
+    8 raw Gaussians ``z``; when ``mixed``, it is mixed with weight ``1 - lam``
     into the Werner state with ``phi`` (``lam`` and ``phi`` are 0 otherwise).
     """
-    c0, z1, z2 = gen.random(), _draw_su2(gen), _draw_su2(gen)
-    if gen.random() < 0.5:
-        return c0, z1, z2, False, 0.0, 0.0
-    lam = gen.random()
-    return c0, z1, z2, True, lam, gen.uniform(-1.0, 1.0)
+    c0, z, mixed = gen.random(), gen.standard_normal(8), gen.random() >= 0.5
+    lam, phi = (gen.random(), gen.uniform(-1.0, 1.0)) if mixed else (0.0, 0.0)
+    return c0, z, mixed, lam, phi
 
 
 def _test_states(draws: list[tuple]) -> np.ndarray:
     """Stack of the trial states of :func:`_draw_test_state` draws."""
-    c0, z1, z2, mixed, lam, phi = (np.array(column) for column in zip(*draws))
-    pure = rotated_pure_state(c0, su2_matrices(z1), su2_matrices(z2))
+    c0, z, mixed, lam, phi = (np.array(column) for column in zip(*draws))
+    pure = rotated_pure_state(c0, *_su2_pairs(z))
     lam = lam[:, None, None]
     mixture = lam * pure + (1.0 - lam) * werner_states(phi)
     return np.where(mixed[:, None, None], mixture, pure)
 
 
-def _product_states(bloch_pairs) -> np.ndarray:
-    """Stack of ``rho_a (x) rho_b`` from ``(r_a, r_b)`` Bloch-vector pairs."""
-    r = np.array(bloch_pairs)
-    return _kron(qubit_states(r[:, 0]), qubit_states(r[:, 1]))
-
-
-def _draw_product(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    return _draw_bloch(gen), _draw_bloch(gen)
+def _product_states(balls) -> np.ndarray:
+    """Stack of ``rho_a (x) rho_b`` from consecutive pairs of :func:`_draw_ball` draws."""
+    r, radius = (np.array(column) for column in zip(*balls))
+    bloch = _bloch_vectors(r, radius).reshape(-1, 2, 3)
+    return _kron(qubit_states(bloch[:, 0]), qubit_states(bloch[:, 1]))
 
 
 def check_c1(trials: int, seed: int) -> AxiomReport:
@@ -221,24 +235,26 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
     and a locally rotated seed state with ``c0`` (at most 7 matrices).
     """
     check_trials(trials)
+    _check_seed(seed)
     worst = 0.0
     for block in _blocks(trials, 7):
         products, weights, parts, pure_draws = [], [], [], []
         for t in block:
             gen = _generator(seed, 1, t)
-            products.append(_draw_product(gen))
+            products += (_draw_ball(gen), _draw_ball(gen))
             terms = int(gen.integers(2, 5))
             w = gen.random(terms)
             w /= w.sum()
             weights.append(w)
-            parts.extend(_draw_product(gen) for _ in range(terms))
-            pure_draws.append((gen.random(), _draw_su2(gen), _draw_su2(gen)))
+            parts.extend(_draw_ball(gen) for _ in range(2 * terms))
+            pure_draws.append((gen.random(), gen.standard_normal(8)))
+        separable = _product_states(products + parts)
         # The ragged mixtures keep their Python sums, term by term.
-        components = iter(_product_states(parts))
+        components = iter(separable[len(block) :])
         mixed = [sum(wi * state for wi, state in zip(w, components)) for w in weights]
-        c0, z1, z2 = (np.array(column) for column in zip(*pure_draws))
-        pure = rotated_pure_state(c0, su2_matrices(z1), su2_matrices(z2))
-        values = _evaluate("C1", seed, np.tile(block, 3), _product_states(products), mixed, pure)
+        c0, z = (np.array(column) for column in zip(*pure_draws))
+        pure = rotated_pure_state(c0, *_su2_pairs(z))
+        values = _evaluate("C1", seed, np.tile(block, 3), separable[: len(block)], mixed, pure)
         product, mixture, rotated = values.reshape(3, len(block))
         violations = np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
         worst = max(worst, *violations.ravel().tolist())
@@ -248,16 +264,16 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
 def check_c2(trials: int, seed: int) -> AxiomReport:
     """C2: the measure is unchanged by any local unitary rotation."""
     check_trials(trials)
+    _check_seed(seed)
     worst = 0.0
     for block in _blocks(trials, 2):
-        states, z1, z2 = [], [], []
+        states, z = [], []
         for t in block:
             gen = _generator(seed, 2, t)
             states.append(_draw_test_state(gen))
-            z1.append(_draw_su2(gen))
-            z2.append(_draw_su2(gen))
+            z.append(gen.standard_normal(8))
         rho = _test_states(states)
-        u = _kron(_check_unitary(su2_matrices(z1)), _check_unitary(su2_matrices(z2)))
+        u = _kron(*_check_unitary(_su2_pairs(z)))
         values = _evaluate("C2", seed, np.tile(block, 2), u @ rho @ adjoint(u), rho)
         rotated, original = np.split(values, 2)
         worst = max(worst, *np.abs(rotated - original).tolist())
@@ -268,6 +284,7 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     """C3: the branch-averaged measure never exceeds the input's measure."""
     check_trials(trials)
     _check_branches(branches)
+    _check_seed(seed)
     worst = 0.0
     skipped = 0
     for block in _blocks(trials, branches + 1):

@@ -8,7 +8,6 @@ density matrix itself, and its expansion over Pauli tensor products
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -328,14 +327,24 @@ def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u @ seed_states(c0) @ adjoint(u)
 
 
-# The draws below run once per axiom trial.  They normalise with the expression
-# ``np.linalg.norm`` evaluates for a vector, written out: the same bits, without
-# its per-call overhead.
+# The random vectors below are drawn raw and normalised as stacks, so the axiom
+# suites can normalise a whole block at once.  The squared norms are stacked
+# ``(1, n) @ (n, 1)`` products: these give the bits of the per-vector
+# ``ndarray.dot`` that ``np.linalg.norm`` evaluates, where ``einsum`` and
+# ``(x * x).sum(-1)`` round differently.
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _su2_vectors(raw) -> np.ndarray:
+    """Unit complex 2-vectors from a ``(..., 4)`` stack of raw Gaussians ``(re0, re1, im0, im1)``."""
+    re, im = raw[..., :2], raw[..., 2:]
+    return (re + 1j * im) / np.sqrt(_squared_norms(re) + _squared_norms(im))[..., None]
+
+
 def _draw_su2(gen: np.random.Generator) -> np.ndarray:
     """The normalised complex 2-vector :func:`random_local_unitary` draws."""
-    z = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-    z /= math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
-    return z
+    return _su2_vectors(gen.standard_normal(4))
 
 
 def su2_matrices(z) -> np.ndarray:
@@ -419,13 +428,26 @@ def random_product_state(rng) -> np.ndarray:
     return tensor(qubit_states(_draw_bloch(gen)), qubit_states(_draw_bloch(gen)))
 
 
+def _draw_ball(gen: np.random.Generator) -> tuple[np.ndarray, float]:
+    """The raw draws of one Bloch vector: a Gaussian 3-vector and the radius it
+    is scaled to, which is drawn only when the vector is not zero.
+
+    The radius is Python's ``u ** (1/3)``: ``np.power`` and ``np.cbrt`` round
+    some cube roots differently.
+    """
+    r = gen.standard_normal(3)
+    return r, (gen.random() ** (1.0 / 3.0) if r.dot(r) > 0 else 0.0)
+
+
+def _bloch_vectors(r, radius) -> np.ndarray:
+    """The ``(..., 3)`` Gaussian vectors ``r`` scaled to lengths ``radius`` (zero vectors stay zero)."""
+    norm = np.sqrt(_squared_norms(r))
+    return r * (radius / np.where(norm > 0, norm, 1.0))[..., None]
+
+
 def _draw_bloch(gen: np.random.Generator) -> np.ndarray:
     """A Bloch vector drawn uniformly from the unit ball."""
-    r = gen.standard_normal(3)
-    norm = math.sqrt(r.dot(r))
-    if norm > 0:
-        r *= gen.random() ** (1.0 / 3.0) / norm
-    return r
+    return _bloch_vectors(*_draw_ball(gen))
 
 
 def qubit_states(r) -> np.ndarray:

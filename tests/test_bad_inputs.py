@@ -6,6 +6,7 @@ point, scalar and matrix alike, and require a ``ValueError``.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entport.axioms import check_c1, check_c2, check_c3
 from entport.cli import SweepGrid, main
 from entport.entanglement import entropy_of_entanglement, negativities, negativity
 from entport.information import information_decomposition, observable_information
@@ -242,3 +244,38 @@ def test_parameters_are_stored_as_floats():
     assert type(WernerChannel(np.float64(0.5)).phi) is float
     assert WernerChannel(np.array(0.5)) == WernerChannel(0.5)
     assert type(correlation_info_from_entanglement(np.float64(0.2), np.array(0.5))) is float
+
+
+# The axiom checks with every argument but the seed fixed.
+AXIOM_CHECKS = {
+    "C1": lambda seed: check_c1(3, seed),
+    "C2": lambda seed: check_c2(3, seed),
+    "C3": lambda seed: check_c3(3, 2, seed),
+}
+
+
+@pytest.mark.parametrize("check", AXIOM_CHECKS)
+@pytest.mark.parametrize("seed", [-3, True, 1.5, np.float64(7.0), "7", None], ids=repr)
+def test_axiom_checks_reject_a_bad_seed_before_any_trial(check, seed, monkeypatch):
+    import entport.axioms as axioms
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(axioms, "_generator", no_trial)
+    message = f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        AXIOM_CHECKS[check](seed)
+
+
+@pytest.mark.parametrize("check", AXIOM_CHECKS)
+def test_axiom_checks_accept_numpy_and_multi_word_seeds(check):
+    assert AXIOM_CHECKS[check](np.int64(7)) == AXIOM_CHECKS[check](7)
+    assert AXIOM_CHECKS[check](2**70).passed
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--trials", "3", "--seed", "-3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
