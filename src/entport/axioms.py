@@ -36,9 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import negativities
-from .matkernel import STACK_BLOCK, StackItemError, _kron, _stack_item, adjoint, tensor
+from .matkernel import STACK_BLOCK, StackItemError, _check_count, _kron, _stack_item
+from .matkernel import adjoint, tensor
 from .states import (
+    _as_generator,
     _bloch_vectors,
+    _check_seed,
     _check_unitary,
     _draw_ball,
     _su2_vectors,
@@ -111,23 +114,6 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, check_tag, trial])
 
 
-def check_trials(trials: int) -> None:
-    """Reject a trial count outside [1, ``MAX_TRIALS``]."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-
-
-def _check_seed(seed) -> None:
-    # bool is a subclass of int, but True or False given as a seed is a mistake.
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
-def _check_branches(branches: int) -> None:
-    if not 1 <= branches <= MAX_BRANCHES:
-        raise ValueError(f"branches must lie in [1, {MAX_BRANCHES}], got {branches}")
-
-
 def _blocks(trials: int, matrices_per_trial: int):
     """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least).
 
@@ -186,9 +172,8 @@ def sample_lgm_cc(rng, branches: int) -> LgmCcFamily:
     ``rng`` is an integer seed or a ``numpy.random.Generator``; the result
     is deterministic for a given seed.
     """
-    _check_branches(branches)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    a, b = _lgm_cc_operators(*_draw_lgm_cc(gen, branches))
+    branches = _check_count("branches", branches, 1, MAX_BRANCHES)
+    a, b = _lgm_cc_operators(*_draw_lgm_cc(_as_generator(rng), branches))
     return LgmCcFamily(operators=list(zip(a, b)))
 
 
@@ -234,7 +219,7 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
     Per trial: a product state, a mixture of 2 to 4 more product states,
     and a locally rotated seed state with ``c0`` (at most 7 matrices).
     """
-    check_trials(trials)
+    trials = _check_count("trials", trials, 1, MAX_TRIALS)
     _check_seed(seed)
     worst = 0.0
     for block in _blocks(trials, 7):
@@ -263,7 +248,7 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
 
 def check_c2(trials: int, seed: int) -> AxiomReport:
     """C2: the measure is unchanged by any local unitary rotation."""
-    check_trials(trials)
+    trials = _check_count("trials", trials, 1, MAX_TRIALS)
     _check_seed(seed)
     worst = 0.0
     for block in _blocks(trials, 2):
@@ -282,8 +267,8 @@ def check_c2(trials: int, seed: int) -> AxiomReport:
 
 def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     """C3: the branch-averaged measure never exceeds the input's measure."""
-    check_trials(trials)
-    _check_branches(branches)
+    trials = _check_count("trials", trials, 1, MAX_TRIALS)
+    branches = _check_count("branches", branches, 1, MAX_BRANCHES)
     _check_seed(seed)
     worst = 0.0
     skipped = 0

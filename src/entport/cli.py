@@ -26,9 +26,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3, check_trials
+from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3
 from .entanglement import entropy_vs_negativity_curve, negativities
-from .matkernel import _herm_eigvals, _partial_transpose
+from .matkernel import _check_count, _herm_eigvals, _partial_transpose
 from .states import _check_range, _werner_ew, werner_states
 from .teleport import (
     _entanglement,
@@ -84,9 +84,7 @@ class SweepGrid:
     phi_values: list[float]
 
     def __post_init__(self):
-        points = len(self.e0_values) * len(self.phi_values)
-        if not 1 <= points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid points must lie in [1, {MAX_GRID_POINTS}], got {points}")
+        _check_count("grid points", len(self.e0_values) * len(self.phi_values), 1, MAX_GRID_POINTS)
         _check_range("e0", self.e0_values, 0.0, 1.0)
         _check_range("phi", self.phi_values, -1.0, 1.0)
 
@@ -101,8 +99,7 @@ def parse_values(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if not np.isfinite([start, stop]).all():
             raise ValueError(f"range endpoints must be finite, got {text!r}")
-        if not 1 <= count <= MAX_RANGE_COUNT:
-            raise ValueError(f"range count must lie in [1, {MAX_RANGE_COUNT}], got {count}")
+        _check_count("range count", count, 1, MAX_RANGE_COUNT)
         return [float(x) for x in np.linspace(start, stop, count)]
     values = [float(tok) for tok in s.split(",") if tok.strip()]
     if not values:
@@ -255,8 +252,7 @@ def _oracle_grid_checks() -> tuple[list[dict], dict]:
 
 def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
     """Run the axiom suite, the oracle grids and the Werner fixtures."""
-    check_trials(trials)
-    # C3 runs first so that a bad branch count fails before C1 and C2 run;
+    # C3 runs first so that a bad trial or branch count fails before C1 and C2 run;
     # every trial seeds its own generator, so the order changes no result.
     c3 = check_c3(trials, branches, seed)
     c1 = check_c1(trials, seed)

@@ -17,6 +17,7 @@ import numpy as np
 from .matkernel import (
     STACK_BLOCK,
     StackItemError,
+    _check_count,
     _herm_eigvals,
     _nonnegative,
     _partial_trace,
@@ -141,7 +142,5 @@ def entropy_vs_negativity_curve(points: int) -> list[tuple[float, float]]:
     entropy is evaluated on the canonical pure state with that negativity.
     The sequence runs from (0, 0) to (1, 1) and is strictly increasing.
     """
-    if not 2 <= points <= MAX_CURVE_POINTS:
-        raise ValueError(f"points must lie in [2, {MAX_CURVE_POINTS}], got {points}")
-    e = np.linspace(0.0, 1.0, points)
+    e = np.linspace(0.0, 1.0, _check_count("points", points, 2, MAX_CURVE_POINTS))
     return list(zip(e.tolist(), _seed_entropies(e).tolist()))

@@ -15,13 +15,15 @@ cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and
 already validated and check nothing; ``partial_trace``,
 ``partial_transpose``, ``herm_eigvals`` and ``purity`` validate, then call
 them.  ``_single`` is the gate of the entry points that take one matrix and
-not a stack.
+not a stack, and ``_check_count`` the gate of every integer count or index.
 
 Downstream formulas are exact rationals in the inputs, so roundoff is the
 only noise source; the tolerances below are sized accordingly.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -129,17 +131,13 @@ def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
     ndarray
         The reduced 2x2 operator.  The trace of the input is preserved.
     """
-    return _partial_trace(_single(as_operator(m, dims=(4,))), keep)
+    return _partial_trace(_single(as_operator(m, dims=(4,))), _check_count("keep", keep, 0, 1))
 
 
 def _partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
     """:func:`partial_trace` of a 4x4 operator or of each in a ``(..., 4, 4)`` stack, unchecked."""
     r = m.reshape(*m.shape[:-2], 2, 2, 2, 2)  # r[..., i, k, j, l] = m[..., (i, k), (j, l)]
-    if keep == 0:
-        return np.einsum("...ikjk->...ij", r)
-    if keep == 1:
-        return np.einsum("...kikj->...ij", r)
-    raise ValueError(f"keep must be 0 (first qubit) or 1 (second qubit), got {keep!r}")
+    return np.einsum("...ikjk->...ij" if keep == 0 else "...kikj->...ij", r)
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -159,7 +157,7 @@ def _partial_transpose(m: np.ndarray) -> np.ndarray:
 
 def _check_hermitian(m: np.ndarray, m_h: np.ndarray, message: str) -> None:
     deviation = np.abs(m - m_h)
-    if deviation.max() > HERMITICITY_ATOL:
+    if deviation.max(initial=0.0) > HERMITICITY_ATOL:
         index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
         raise StackItemError(index, message)
 
@@ -218,6 +216,20 @@ def _single(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected one matrix, got a stack of shape {m.shape}")
     return m
+
+
+def _check_count(name: str, n, lo: int, hi: int) -> int:
+    """``n`` as an int, if it is an integer in [lo, hi]; the gate of counts and indices.
+
+    Accepts Python and numpy integers; a bool, a float (even a whole one) or
+    a string is a ``ValueError``, as is a value outside [lo, hi].
+    """
+    # bool is a subclass of int, but True or False given as a count is a mistake.
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if not lo <= n <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {n}")
+    return int(n)
 
 
 def _nonnegative(x):

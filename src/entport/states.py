@@ -15,6 +15,7 @@ import numpy as np
 
 from .matkernel import (
     StackItemError,
+    _check_count,
     _check_hermitian,
     _check_unit_trace,
     _kron,
@@ -58,18 +59,19 @@ BELL_SIGN_MATRICES = tuple(
 #: induced Bloch rotation is the negative of the outcome's sign matrix.
 BOB_CORRECTIONS = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+#: Largest entrywise deviation from u u^dagger == 1 accepted as unitary.
 UNITARITY_ATOL = 1e-10
 
 #: A Pauli correction's rotation is within a few eps of ``-P_alpha``; a wrong one misses by 2.
 ROTATION_ATOL = 1e-12
 
 
-def _check_unitary(u, atol: float = UNITARITY_ATOL) -> np.ndarray:
+def _check_unitary(u) -> np.ndarray:
     """Validate a qubit unitary, or every item of a ``(..., 2, 2)`` stack."""
     u = as_operator(u, dims=(2,))
     deviation = np.abs(u @ adjoint(u) - ID2).max(axis=(-2, -1))
-    if deviation.max() > atol:
-        index = _stack_item(deviation > atol)
+    if deviation.max(initial=0.0) > UNITARITY_ATOL:
+        index = _stack_item(deviation > UNITARITY_ATOL)
         raise StackItemError(index, "matrix is not unitary within tolerance")
     return u
 
@@ -95,6 +97,23 @@ def _check_number(name: str, x, lo: float, hi: float) -> float:
         raise ValueError(f"{name} must be a single real number, got {x!r}")
     _check_range(name, value, lo, hi)
     return float(value)
+
+
+def _check_seed(seed) -> None:
+    # bool is a subclass of int, but True or False given as a seed is a mistake.
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _as_generator(rng) -> np.random.Generator:
+    """``rng`` itself if it is a ``numpy.random.Generator``, else a new one seeded with it.
+
+    The gate of every sampler's ``rng``: a seed must be a non-negative integer.
+    """
+    if isinstance(rng, np.random.Generator):
+        return rng
+    _check_seed(rng)
+    return np.random.default_rng(rng)
 
 
 def _seed_polarisation(c0):
@@ -200,8 +219,7 @@ class BellOutcome:
     correction: np.ndarray
 
     def __post_init__(self):
-        if self.alpha not in (0, 1, 2, 3):
-            raise ValueError(f"alpha must be in 0..3, got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_count("alpha", self.alpha, 0, 3))
         # Optimality condition: the correction's Bloch rotation must be the
         # negative of the outcome's sign matrix.
         rot = rotation_from_unitary(self.correction)
@@ -211,8 +229,7 @@ class BellOutcome:
 
 def bell_outcome(alpha: int) -> BellOutcome:
     """The Bell outcome ``alpha`` with the standard optimal correction."""
-    if alpha not in (0, 1, 2, 3):
-        raise ValueError(f"alpha must be in 0..3, got {alpha}")
+    alpha = _check_count("alpha", alpha, 0, 3)
     return BellOutcome(
         alpha=alpha,
         p_matrix=BELL_SIGN_MATRICES[alpha].copy(),
@@ -366,8 +383,7 @@ def random_local_unitary(rng) -> np.ndarray:
     Gaussian; the second is its orthogonal complement, which makes the
     result Haar-distributed with determinant exactly +1.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return su2_matrices(_draw_su2(gen))
+    return su2_matrices(_draw_su2(_as_generator(rng)))
 
 
 def werner_states(phi) -> np.ndarray:
@@ -397,9 +413,7 @@ _BELL_PROJECTORS = tuple(
 
 def bell_projector(alpha: int) -> np.ndarray:
     """Rank-1 projector onto Bell state ``alpha`` (0 is the singlet), as a fresh copy."""
-    if alpha not in (0, 1, 2, 3):
-        raise ValueError(f"alpha must be in 0..3, got {alpha}")
-    return _BELL_PROJECTORS[alpha].copy()
+    return _BELL_PROJECTORS[_check_count("alpha", alpha, 0, 3)].copy()
 
 
 def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -423,8 +437,9 @@ def random_product_state(rng) -> np.ndarray:
     """Random two-qubit product state ``rho_a (x) rho_b``.
 
     Each factor has a Bloch vector drawn uniformly from the unit ball.
+    ``rng`` is an integer seed or a ``numpy.random.Generator`` (which is advanced).
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = _as_generator(rng)
     return tensor(qubit_states(_draw_bloch(gen)), qubit_states(_draw_bloch(gen)))
 
 

@@ -10,8 +10,11 @@ Two independent routes are implemented: a brute-force simulation of the
 full four-particle protocol, and closed forms for the fidelity, the
 transferred entanglement and the transferred information.  With the
 standard corrections the conditional states of all four outcomes coincide,
-every outcome has probability 1/4, and the closed forms reproduce the
-simulation to near machine precision (the test suite enforces this).
+and the closed forms reproduce the simulation to near machine precision
+(the test suite enforces this).  Whatever the corrections, every outcome
+has probability exactly 1/4: the Werner channel's reduced state on
+particle 3 is maximally mixed (Lee & Kim, PRL 84, 4236, 2000), so no
+outcome is ever too unlikely to normalise.
 
 The simulation is one engine on stacks of inputs: :func:`simulate_grid`
 runs it over blocks of (e0, phi) points, and :func:`simulate` is the same
@@ -43,10 +46,6 @@ from .states import (
     seed_states,
     werner_states,
 )
-
-#: Outcomes with probability below this leave no conditional state to
-#: normalise; they are flagged (final state ``None``) instead of divided.
-OUTCOME_PROB_FLOOR = 1e-14
 
 #: Points per block of :func:`simulate_grid`.  A point holds 16x16 operators,
 #: 16 times the entries of a 4x4 matrix, so a block holds about as much as a
@@ -103,13 +102,14 @@ class TeleportationReport:
     """Everything the protocol produces for one initial state and channel.
 
     ``final_states[alpha]`` is the conditional state of particles (1, 4)
-    after the correction for outcome ``alpha``, or ``None`` if that outcome
-    has negligible probability.  ``final_state`` is the outcome-averaged
-    state; with the optimal strategy it equals every conditional state.
+    after the correction for outcome ``alpha``; every outcome has
+    probability 1/4, so all four are there.  ``final_state`` is the
+    outcome-averaged state; with the optimal strategy it equals every
+    conditional state.
     """
 
     probabilities: np.ndarray
-    final_states: list[np.ndarray | None]
+    final_states: list[np.ndarray]
     final_state: np.ndarray
     averaged_fidelity: float
     final_entanglement: float
@@ -133,8 +133,7 @@ class _Protocol(NamedTuple):
     """The engine's arrays for a stack of n inputs."""
 
     probabilities: np.ndarray  # (n, 4)
-    kept: np.ndarray  # (n, 4): False for an outcome below OUTCOME_PROB_FLOOR
-    final_states: np.ndarray  # (n, 4, 4, 4); a dropped outcome's is not normalised
+    final_states: np.ndarray  # (n, 4, 4, 4)
     final_state: np.ndarray  # (n, 4, 4), outcome-averaged
     averaged_fidelity: np.ndarray  # (n,)
 
@@ -145,48 +144,26 @@ def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrate
     Builds ``rho12 (x) w34`` as an ``(n, 16, 16)`` stack, applies the four
     operators of ``strategy`` in one broadcast ``op @ big @ op^dagger``,
     reads each outcome probability off the trace and traces out particles
-    (2, 3) with one einsum.  Outcomes with probability below
-    ``OUTCOME_PROB_FLOOR`` are left out of the average: the weighted sums
-    start from 0 and add the outcomes in order (``sum``), and a dropped
-    outcome adds a zero term, which changes no bit of a sum started from 0,
-    so each item equals the sum over its kept outcomes alone.  The inputs
-    are not validated here.
+    (2, 3) with one einsum.  Each outcome's state is divided by its
+    probability and weighted with it, with no floor: a Werner channel
+    state gives every outcome probability 1/4.  The weighted sums add the
+    outcomes in order (``sum``).  The inputs are not validated here.
     """
     big = _kron(rho12, channel_states)[..., None, :, :]  # particle order (1, 2, 3, 4)
     ops = strategy.operators
     conditioned = ops @ big @ adjoint(ops)
-    probabilities = conditioned.trace(axis1=-2, axis2=-1).real
-    kept = probabilities >= OUTCOME_PROB_FLOOR
-    conditioned /= np.where(kept, probabilities, 1.0)[..., None, None]
+    p = conditioned.trace(axis1=-2, axis2=-1).real
+    conditioned /= p[..., None, None]
     t = conditioned.reshape(*conditioned.shape[:-2], *[2] * 8)
     final_states = np.einsum("...abcdebcf->...adef", t).reshape(*conditioned.shape[:-2], 4, 4)
 
-    weights = np.where(kept, probabilities, 0.0)
-    weight = sum(weights[:, k] for k in range(4))
-    averaged = sum(weights[:, k, None, None] * final_states[:, k] for k in range(4))
+    weight = sum(p[:, k] for k in range(4))
+    averaged = sum(p[:, k, None, None] * final_states[:, k] for k in range(4))
     averaged = averaged / weight[:, None, None]
     averaged = (averaged + adjoint(averaged)) / 2
     overlaps = (rho12[:, None] @ final_states).trace(axis1=-2, axis2=-1).real
-    fidelity = sum(weights[:, k] * overlaps[:, k] for k in range(4))
-    return _Protocol(probabilities, kept, final_states, averaged, fidelity)
-
-
-def _run_protocol(
-    rho12: np.ndarray, channel_state: np.ndarray, strategy: BobStrategy
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Outcome probabilities and conditional (1, 4) states for any channel state.
-
-    :func:`_protocol` on one input.  Outcomes with probability below
-    ``OUTCOME_PROB_FLOOR`` get ``None`` instead of a normalised conditional
-    state (cannot happen with a Werner channel, whose outcomes are all
-    equally likely).
-    """
-    return _one_input(_protocol(rho12[None], channel_state[None], strategy))
-
-
-def _one_input(out: _Protocol) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    final_states = [s if k else None for k, s in zip(out.kept[0], out.final_states[0])]
-    return out.probabilities[0], final_states
+    fidelity = sum(p[:, k] * overlaps[:, k] for k in range(4))
+    return _Protocol(p, final_states, averaged, fidelity)
 
 
 def simulate(
@@ -199,7 +176,9 @@ def simulate(
     Builds the four-particle state ``rho12 (x) w34``, conjugates with the
     Bell projector on particles (2, 3) and the correction on particle 4,
     reads each outcome probability off the trace, and traces out particles
-    (2, 3): :func:`_protocol` on one input.  Entanglement and information of
+    (2, 3): :func:`_protocol` on one input.  The Werner channel gives every
+    outcome probability 1/4, so all four conditional states are normalised
+    and kept in ``final_states``.  Entanglement and information of
     the final state are evaluated on the outcome-averaged state, which is
     not validated again: it is built from the validated ``rho12``.
     """
@@ -210,11 +189,10 @@ def simulate(
         strategy = _OPTIMAL_STRATEGY
 
     out = _protocol(rho12[None], channel.state()[None], strategy)
-    probabilities, final_states = _one_input(out)
     averaged = out.final_state[0]
     return TeleportationReport(
-        probabilities=probabilities,
-        final_states=final_states,
+        probabilities=out.probabilities[0],
+        final_states=list(out.final_states[0]),
         final_state=averaged,
         averaged_fidelity=float(out.averaged_fidelity[0]),
         final_entanglement=float(_negativities(averaged)[0]),

@@ -14,11 +14,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entport.axioms import check_c1, check_c2, check_c3
+from entport.axioms import check_c1, check_c2, check_c3, sample_lgm_cc
 from entport.cli import SweepGrid, main
-from entport.entanglement import entropy_of_entanglement, negativities, negativity
+from entport.entanglement import (
+    entropy_of_entanglement,
+    entropy_vs_negativity_curve,
+    negativities,
+    negativity,
+)
 from entport.information import information_decomposition, observable_information
-from entport.states import SeedParams, WernerChannel, hs_decompose, seed_state, werner_state
+from entport.matkernel import partial_trace
+from entport.states import (
+    BELL_SIGN_MATRICES,
+    BOB_CORRECTIONS,
+    BellOutcome,
+    SeedParams,
+    WernerChannel,
+    bell_outcome,
+    bell_projector,
+    hs_decompose,
+    random_local_unitary,
+    random_product_state,
+    seed_state,
+    werner_state,
+)
 from entport.teleport import (
     correlation_info_from_entanglement,
     fidelity_closed_form,
@@ -279,3 +298,84 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys):
     assert main(["verify", "--trials", "3", "--seed", "-3", "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+
+
+# Each integer count or index a public entry point takes, as ``(run, lo, hi)``:
+# ``run(n)`` passes ``n`` for that argument and fixes the others.
+COUNTS = {
+    "trials C1": (lambda n: check_c1(n, 1), 1, 1_000_000),
+    "trials C2": (lambda n: check_c2(n, 1), 1, 1_000_000),
+    "trials C3": (lambda n: check_c3(n, 1, 1), 1, 1_000_000),
+    "branches C3": (lambda n: check_c3(2, n, 1), 1, 1024),
+    "branches sample_lgm_cc": (lambda n: sample_lgm_cc(1, n), 1, 1024),
+    "points": (entropy_vs_negativity_curve, 2, 100_000),
+    "alpha bell_projector": (bell_projector, 0, 3),
+    "alpha bell_outcome": (bell_outcome, 0, 3),
+    "alpha BellOutcome": (
+        lambda n: BellOutcome(n, BELL_SIGN_MATRICES[2], BOB_CORRECTIONS[2]), 0, 3
+    ),
+    "keep": (lambda n: partial_trace(seed_state(0.5), n), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0), "3"], ids=repr)
+def test_counts_reject_what_is_not_an_integer(name, bad):
+    run, _, _ = COUNTS[name]
+    argument = name.split()[0]
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got "):
+        run(bad)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_reject_a_value_out_of_range(name):
+    run, lo, hi = COUNTS[name]
+    argument = name.split()[0]
+    for n in (lo - 1, hi + 1):
+        message = re.escape(f"{argument} must lie in [{lo}, {hi}], got {n}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(n)
+
+
+def comparable(result):
+    """A result as plain data that ``==`` compares whole."""
+    if isinstance(result, BellOutcome):
+        matrices = result.p_matrix.tolist(), result.correction.tolist()
+        return type(result.alpha), result.alpha, matrices
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    if hasattr(result, "operators"):
+        return np.array(result.operators).tolist()
+    return result
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_accept_numpy_integers(name):
+    run, lo, _ = COUNTS[name]
+    n = max(lo, 1)
+    assert comparable(run(np.int64(n))) == comparable(run(n))
+
+
+# The public samplers, each with every argument but its generator fixed.
+SAMPLERS = {
+    "random_local_unitary": random_local_unitary,
+    "random_product_state": random_product_state,
+    "sample_lgm_cc": lambda rng: np.array(sample_lgm_cc(rng, 2).operators),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("seed", [-3, True, 1.5, "7", None], ids=repr)
+def test_samplers_reject_a_bad_seed(sampler, seed):
+    message = f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        SAMPLERS[sampler](seed)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_samplers_take_a_numpy_seed_or_a_generator(sampler):
+    draw = SAMPLERS[sampler]
+    np.testing.assert_array_equal(draw(np.int64(7)), draw(7))
+    gen = np.random.default_rng(7)
+    np.testing.assert_array_equal(draw(gen), draw(7))  # the generator is used ...
+    assert not np.array_equal(draw(gen), draw(7))  # ... and advanced

@@ -422,3 +422,15 @@ def test_unit_trace_check_keeps_each_message():
         check_density_matrix(np.eye(4))
     with pytest.raises(ValueError, match=r"^stack item 1: density matrix must have unit trace"):
         check_density_matrix(np.array([seed_state(0.1), 2 * seed_state(0.1)]))
+
+
+def test_empty_stacks_give_empty_results():
+    # seed_states([]) and simulate_grid([], []) return empty results; so does
+    # every validated stacked entry point, rather than fail inside a reduction.
+    empty = np.empty((0, 4, 4))
+    assert negativities(empty).shape == (0,)
+    assert herm_eigvals(empty).shape == (0, 4)
+    assert check_density_matrix(empty).shape == (0, 4, 4)
+    no_unitaries = np.empty((0, 2, 2))
+    assert _check_unitary(no_unitaries).shape == (0, 2, 2)
+    assert rotated_pure_state(np.empty(0), no_unitaries, no_unitaries).shape == (0, 4, 4)
