@@ -110,14 +110,27 @@ class AxiomReport:
     skip_rate: float = 0.0
 
 
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, low word first (``[0]`` for 0)."""
+    n = int(n)
+    return [n & 0xFFFFFFFF] if n <= 0xFFFFFFFF else [n & 0xFFFFFFFF, *_words(n >> 32)]
+
+
 def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, check_tag, trial])
+    """The generator of ``np.random.default_rng([seed, check_tag, trial])``.
+
+    numpy turns that list into the ``uint32`` array of each int's words, low
+    word first; passing the array skips its per-int coercion, and the stream
+    is the same.
+    """
+    words = [w for n in (seed, check_tag, trial) for w in _words(n)]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def _blocks(trials: int, matrices_per_trial: int):
     """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least).
 
-    A C3 trial needs ``branches + 1`` matrices, so at 128 branches or more a
+    A C3 trial needs ``branches + 1`` matrices, so at 256 branches or more a
     block is one trial.
     """
     step = max(1, STACK_BLOCK // matrices_per_trial)
@@ -213,6 +226,24 @@ def _product_states(balls) -> np.ndarray:
     return _kron(qubit_states(bloch[:, 0]), qubit_states(bloch[:, 1]))
 
 
+def _mixtures(weights: list[np.ndarray], components: np.ndarray) -> np.ndarray:
+    """Stack of the mixtures ``sum_k w[k] * s_k``, one per weight vector, of consecutive components.
+
+    Each sum starts as ``0 + w[0] * s_0`` and adds its further terms in order;
+    a mixture with fewer terms keeps its sum.  These are the operations of
+    Python's ``sum`` over the terms, so the bits, signed zeros too, are the same.
+    """
+    terms = np.array([len(w) for w in weights])
+    first = np.cumsum(terms) - terms
+    w = np.concatenate(weights)[:, None, None]
+    mixed = 0 + w[first] * components[first]
+    for k in range(1, terms.max()):
+        has = terms > k
+        at = np.where(has, first + k, first)
+        mixed = np.where(has[:, None, None], mixed + w[at] * components[at], mixed)
+    return mixed
+
+
 def check_c1(trials: int, seed: int) -> AxiomReport:
     """C1: separable states report zero, entangled pure states report |c0|.
 
@@ -227,16 +258,12 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
         for t in block:
             gen = _generator(seed, 1, t)
             products += (_draw_ball(gen), _draw_ball(gen))
-            terms = int(gen.integers(2, 5))
-            w = gen.random(terms)
-            w /= w.sum()
-            weights.append(w)
-            parts.extend(_draw_ball(gen) for _ in range(2 * terms))
+            w = gen.random(int(gen.integers(2, 5)))
+            weights.append(w / w.sum())
+            parts.extend(_draw_ball(gen) for _ in range(2 * len(w)))
             pure_draws.append((gen.random(), gen.standard_normal(8)))
         separable = _product_states(products + parts)
-        # The ragged mixtures keep their Python sums, term by term.
-        components = iter(separable[len(block) :])
-        mixed = [sum(wi * state for wi, state in zip(w, components)) for w in weights]
+        mixed = _mixtures(weights, separable[len(block) :])
         c0, z = (np.array(column) for column in zip(*pure_draws))
         pure = rotated_pure_state(c0, *_su2_pairs(z))
         values = _evaluate("C1", seed, np.tile(block, 3), separable[: len(block)], mixed, pure)

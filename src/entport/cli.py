@@ -96,7 +96,11 @@ def parse_values(text: str) -> list[float]:
         parts = s.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = float(parts[0]), float(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError(f"range count must be an integer, got {parts[2]!r}") from None
         if not np.isfinite([start, stop]).all():
             raise ValueError(f"range endpoints must be finite, got {text!r}")
         _check_count("range count", count, 1, MAX_RANGE_COUNT)

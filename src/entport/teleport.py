@@ -50,11 +50,11 @@ from .states import (
 #: Points per block of :func:`simulate_grid`.  A point holds 16x16 operators,
 #: 16 times the entries of a 4x4 matrix, so a block holds about as much as a
 #: ``STACK_BLOCK`` of 4x4 matrices.  Measured on the 400-point ``sweep``
-#: run in a fresh process, peak resident memory above the one-point-at-a-time
-#: simulation (36.8 MiB): +0.35 MiB at 8 points per block, +1.3 MiB at 32,
-#: +4.9 MiB at 128 and +14 MiB for all 400 at once.  The engine took 47 ms
-#: for the 400 points at 8 points per block and 33 ms at 32; the per-point
-#: loop took about 200 ms.
+#: grid in a fresh process, peak resident memory above one point per block
+#: (37.0 MiB): +0.0 MiB at 8 points per block, +1.0 MiB at 32, +4.7 MiB at
+#: 128 and +14.1 MiB for all 400 at once.  The engine took 34 ms for the 400
+#: points at 8 points per block, 21 ms at 32 and 20 ms at 128 (medians of
+#: 14); one point per block took 148 ms.
 PROTOCOL_BLOCK = STACK_BLOCK // 16
 
 

@@ -379,3 +379,11 @@ def test_samplers_take_a_numpy_seed_or_a_generator(sampler):
     gen = np.random.default_rng(7)
     np.testing.assert_array_equal(draw(gen), draw(7))  # the generator is used ...
     assert not np.array_equal(draw(gen), draw(7))  # ... and advanced
+
+
+@pytest.mark.parametrize("count", ["2.5", "abc", "1e3"])
+def test_cli_rejects_a_range_count_that_is_not_an_integer(count, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--e0", f"0:1:{count}", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: range count must be an integer, got {count!r}\n"
