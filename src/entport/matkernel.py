@@ -157,8 +157,8 @@ def _partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
-def _check_hermitian(m: np.ndarray, m_h: np.ndarray, message: str) -> None:
-    deviation = np.abs(m - m_h)
+def _check_hermitian(m: np.ndarray, message: str) -> None:
+    deviation = np.abs(m - adjoint(m))
     if deviation.max(initial=0.0) > HERMITICITY_ATOL:
         index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
         raise StackItemError(index, message)
@@ -181,7 +181,7 @@ def herm_eigvals(m: np.ndarray) -> np.ndarray:
     solved by one ``eigvalsh`` call and gives ``(..., d)`` eigenvalues.
     """
     m = as_operator(m)
-    _check_hermitian(m, adjoint(m), "matrix is not Hermitian within tolerance")
+    _check_hermitian(m, "matrix is not Hermitian within tolerance")
     return _herm_eigvals(m)
 
 
@@ -203,7 +203,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """
     dims = (dim,) if dim is not None else ALLOWED_DIMS
     rho = as_operator(rho, dims=dims)
-    _check_hermitian(rho, adjoint(rho), "density matrix must be Hermitian")
+    _check_hermitian(rho, "density matrix must be Hermitian")
     _check_unit_trace(rho, "density matrix must have unit trace")
     lowest = _herm_eigvals(rho)[..., 0]
     bad_eig = lowest < -PSD_ATOL

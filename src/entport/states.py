@@ -302,7 +302,7 @@ def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
     :func:`hs_compose` to machine precision.
     """
     rho = _single(as_operator(rho, dims=(4,)))
-    _check_hermitian(rho, adjoint(rho), "matrix must be Hermitian")
+    _check_hermitian(rho, "matrix must be Hermitian")
     _check_unit_trace(rho, "matrix must have unit trace")
     a = np.array([np.trace(rho @ p).real for p in PAULI_A])
     b = np.array([np.trace(rho @ p).real for p in PAULI_B])

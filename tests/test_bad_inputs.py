@@ -387,3 +387,19 @@ def test_cli_rejects_a_range_count_that_is_not_an_integer(count, tmp_path, capsy
     assert main(["sweep", "--e0", f"0:1:{count}", "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"error: range count must be an integer, got {count!r}\n"
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--e0", "a:1:3", "range start must be a number, got 'a'"),
+        ("--e0", "0:b:3", "range stop must be a number, got 'b'"),
+        ("--phi", "0,abc", "list value must be a number, got 'abc'"),
+    ],
+    ids=["start", "stop", "list"],
+)
+def test_cli_names_the_field_that_is_not_a_number(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
