@@ -15,23 +15,28 @@ covered.  Every trial derives its generator deterministically from the
 root seed and the trial index, so runs are reproducible and order
 independent.
 
-Each check runs in two steps per block of trials.  First it makes each
-trial's generator calls, in the order the trial's construction consumes
-them, and keeps only the raw draws.  A trial makes as few calls as its
-stream allows: Gaussian draws that follow one another are one
+One driver, :func:`_run_trials`, runs every check.  It gates the trial
+count and the seed, cuts the trials into blocks, makes each trial's
+generator, labels errors with the check and the seed, and folds the
+violations into the report; each check gives only its draws, how it builds
+and evaluates a block, and its violations.  Per block, the driver first has
+each trial make its generator calls, in the order the trial's construction
+consumes them, and keeps only the raw draws.  A trial makes as few calls as
+its stream allows: Gaussian draws that follow one another are one
 ``standard_normal`` call, which gives the same numbers as consecutive calls.
-Then it normalises the block's SU(2) and Bloch vectors as stacks, builds
-the block's states, local unitaries and Kraus families as ``(..., d, d)``
-stacks, validates them and evaluates every negativity with one stacked
-eigensolve, and folds the per-trial violations in trial order.  Each
-stacked result equals the matrix-by-matrix computation bit for bit, and
-blocks hold at most ``STACK_BLOCK`` matrices (or one trial), so memory does
-not grow with the trial count.
+Then the check normalises the block's SU(2) and Bloch vectors as stacks,
+builds the block's states, local unitaries and Kraus families as
+``(..., d, d)`` stacks, validates them and evaluates every negativity with
+one stacked eigensolve, and the driver folds the per-trial violations in
+trial order.  Each stacked result equals the matrix-by-matrix computation
+bit for bit, and blocks hold at most ``STACK_BLOCK`` matrices (or one
+trial), so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -127,23 +132,39 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
-def _blocks(trials: int, matrices_per_trial: int):
-    """Consecutive trial ranges of at most ``STACK_BLOCK`` matrices (one trial at least).
-
-    A C3 trial needs ``branches + 1`` matrices, so at 256 branches or more a
-    block is one trial.
-    """
-    step = max(1, STACK_BLOCK // matrices_per_trial)
-    return (range(start, min(start + step, trials)) for start in range(0, trials, step))
-
-
-def _evaluate(check: str, seed: int, trial_of, *parts) -> np.ndarray:
+def _evaluate(label: str, trial_of, *parts) -> np.ndarray:
     """Negativities of the parts as one stack; a bad item i is reported as trial ``trial_of[i]``."""
     try:
         return negativities(np.concatenate(parts))
     except StackItemError as exc:
-        trial = trial_of[exc.index[0]]
-        raise ValueError(f"{check}, seed {seed}, trial {trial}: {exc.reason}") from exc
+        raise ValueError(f"{label}, trial {trial_of[exc.index[0]]}: {exc.reason}") from exc
+
+
+def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomReport:
+    """Check ``C<tag>`` over ``trials`` trials: the trial driver of every suite.
+
+    ``matrices()`` is called between the ``trials`` and ``seed`` gates, so a
+    check gates its own counts in that order; it returns the matrices one
+    trial evaluates.  Blocks of consecutive trials hold at most
+    ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256 branches or more
+    fills a block).  ``draw(gen)`` makes one trial's generator calls, from
+    trial ``t``'s ``_generator(seed, tag, t)``, and returns its draws as a
+    tuple.  ``violations(label, block, *columns)`` gets the block's trial
+    range and its draws column by column, and returns the violations of its
+    trials in trial order; its errors start with ``label``, ``"C<tag>, seed
+    <seed>"``.  The running maximum starts at 0.0, which is the clamp: a run
+    whose violations are all negative reports 0.0.
+    """
+    trials = _check_count("trials", trials, 1, MAX_TRIALS)
+    step = max(1, STACK_BLOCK // matrices())
+    _check_seed(seed)
+    label = f"C{tag}, seed {seed}"
+    worst = 0.0
+    for start in range(0, trials, step):
+        block = range(start, min(start + step, trials))
+        draws = [draw(_generator(seed, tag, t)) for t in block]
+        worst = max(worst, *violations(label, block, *zip(*draws)).ravel().tolist())
+    return AxiomReport(f"C{tag}", trials, worst, worst <= AXIOM_TOL)
 
 
 def _draw_lgm_cc(gen: np.random.Generator, branches: int) -> tuple:
@@ -244,94 +265,90 @@ def _mixtures(weights: list[np.ndarray], components: np.ndarray) -> np.ndarray:
     return mixed
 
 
+def _draw_c1(gen: np.random.Generator) -> tuple:
+    """Draws of one C1 trial: two product-state balls, the mixture weights and
+    the balls of its product states, and the ``(c0, z)`` of a rotated seed state."""
+    product = [_draw_ball(gen), _draw_ball(gen)]
+    w = gen.random(int(gen.integers(2, 5)))
+    parts = [_draw_ball(gen) for _ in range(2 * len(w))]
+    return product, w / w.sum(), parts, gen.random(), gen.standard_normal(8)
+
+
+def _c1_violations(label, block, products, weights, parts, c0, z) -> np.ndarray:
+    """Per trial: the product state's and the mixture's measure, and ``|N - c0|``."""
+    separable = _product_states([*chain(*products, *parts)])
+    mixed = _mixtures(weights, separable[len(block) :])
+    pure = rotated_pure_state(c0, *_su2_pairs(z))
+    values = _evaluate(label, np.tile(block, 3), separable[: len(block)], mixed, pure)
+    product, mixture, rotated = values.reshape(3, len(block))
+    return np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
+
+
 def check_c1(trials: int, seed: int) -> AxiomReport:
     """C1: separable states report zero, entangled pure states report |c0|.
 
     Per trial: a product state, a mixture of 2 to 4 more product states,
     and a locally rotated seed state with ``c0`` (at most 7 matrices).
     """
-    trials = _check_count("trials", trials, 1, MAX_TRIALS)
-    _check_seed(seed)
-    worst = 0.0
-    for block in _blocks(trials, 7):
-        products, weights, parts, pure_draws = [], [], [], []
-        for t in block:
-            gen = _generator(seed, 1, t)
-            products += (_draw_ball(gen), _draw_ball(gen))
-            w = gen.random(int(gen.integers(2, 5)))
-            weights.append(w / w.sum())
-            parts.extend(_draw_ball(gen) for _ in range(2 * len(w)))
-            pure_draws.append((gen.random(), gen.standard_normal(8)))
-        separable = _product_states(products + parts)
-        mixed = _mixtures(weights, separable[len(block) :])
-        c0, z = (np.array(column) for column in zip(*pure_draws))
-        pure = rotated_pure_state(c0, *_su2_pairs(z))
-        values = _evaluate("C1", seed, np.tile(block, 3), separable[: len(block)], mixed, pure)
-        product, mixture, rotated = values.reshape(3, len(block))
-        violations = np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
-        worst = max(worst, *violations.ravel().tolist())
-    return AxiomReport("C1", trials, worst, worst <= AXIOM_TOL)
+    return _run_trials(1, trials, seed, lambda: 7, _draw_c1, _c1_violations)
+
+
+def _c2_violations(label, block, states, z) -> np.ndarray:
+    """Per trial: how far a local rotation moves the trial state's measure."""
+    rho = _test_states(states)
+    u = _kron(*_check_unitary(_su2_pairs(z)))
+    rotated, original = np.split(_evaluate(label, np.tile(block, 2), u @ rho @ adjoint(u), rho), 2)
+    return np.abs(rotated - original)
 
 
 def check_c2(trials: int, seed: int) -> AxiomReport:
     """C2: the measure is unchanged by any local unitary rotation."""
-    trials = _check_count("trials", trials, 1, MAX_TRIALS)
-    _check_seed(seed)
-    worst = 0.0
-    for block in _blocks(trials, 2):
-        states, z = [], []
-        for t in block:
-            gen = _generator(seed, 2, t)
-            states.append(_draw_test_state(gen))
-            z.append(gen.standard_normal(8))
-        rho = _test_states(states)
-        u = _kron(*_check_unitary(_su2_pairs(z)))
-        values = _evaluate("C2", seed, np.tile(block, 2), u @ rho @ adjoint(u), rho)
-        rotated, original = np.split(values, 2)
-        worst = max(worst, *np.abs(rotated - original).tolist())
-    return AxiomReport("C2", trials, worst, worst <= AXIOM_TOL)
+
+    def draw(gen):
+        return _draw_test_state(gen), gen.standard_normal(8)
+
+    return _run_trials(2, trials, seed, lambda: 2, draw, _c2_violations)
 
 
 def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     """C3: the branch-averaged measure never exceeds the input's measure.
 
     The violation is the largest excess of a trial's branch average over its
-    input's measure.  The running maximum starts at 0.0, which is the clamp: a
-    run where every average falls short reports 0.0, not a negative excess.
+    input's measure, clamped at 0.0 by the driver's fold.  Branches whose
+    probability lies below ``BRANCH_PROB_FLOOR`` are skipped and counted.
     """
-    trials = _check_count("trials", trials, 1, MAX_TRIALS)
-    branches = _check_count("branches", branches, 1, MAX_BRANCHES)
-    _check_seed(seed)
-    worst = 0.0
     skipped = 0
-    for block in _blocks(trials, branches + 1):
-        states, families = [], []
-        for t in block:
-            gen = _generator(seed, 3, t)
-            states.append(_draw_test_state(gen))
-            families.append(_draw_lgm_cc(gen, branches))
+
+    def matrices():
+        nonlocal branches
+        branches = _check_count("branches", branches, 1, MAX_BRANCHES)
+        return branches + 1
+
+    def draw(gen):
+        return _draw_test_state(gen), _draw_lgm_cc(gen, branches)
+
+    def violations(label, block, states, families):
+        nonlocal skipped
         rho = _test_states(states)
         g, z, measuring_first = (np.array(column) for column in zip(*families))
         v = _kron(*_lgm_cc_operators(g, z, measuring_first))
-        residuals = _completeness_residuals(v)
-        if residuals.max() > COMPLETENESS_ATOL:
-            (index,) = _stack_item(residuals > COMPLETENESS_ATOL)
-            raise ValueError(f"trial {block[index]}: operator family does not satisfy completeness")
+        incomplete = ~(_completeness_residuals(v) <= COMPLETENESS_ATOL)  # NaN too
+        if incomplete.any():
+            (index,) = _stack_item(incomplete)
+            reason = "operator family does not satisfy completeness"
+            raise ValueError(f"{label}, trial {block[index]}: {reason}")
         mapped = v @ rho[:, None] @ adjoint(v)
         p = mapped.trace(axis1=-2, axis2=-1).real
         kept = p >= BRANCH_PROB_FLOOR
         skipped += int(np.count_nonzero(~kept))
         trial_of = np.concatenate([block, np.repeat(block, branches)[kept.ravel()]])
-        values = _evaluate("C3", seed, trial_of, rho, mapped[kept] / p[kept][:, None, None])
+        values = _evaluate(label, trial_of, rho, mapped[kept] / p[kept][:, None, None])
         weighted = np.zeros_like(p)
         weighted[kept] = p[kept] * values[len(block) :]
         # Sequential branch sums, as a running total would add them.
         averaged = np.cumsum(weighted, axis=-1)[:, -1]
-        worst = max(worst, *(averaged - values[: len(block)]).tolist())
-    return AxiomReport(
-        "C3",
-        trials,
-        worst,
-        worst <= AXIOM_TOL,
-        skip_rate=skipped / (trials * branches),
-    )
+        return averaged - values[: len(block)]
+
+    report = _run_trials(3, trials, seed, matrices, draw, violations)
+    report.skip_rate = skipped / (report.trials * branches)
+    return report

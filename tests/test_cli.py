@@ -279,3 +279,17 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert out.read_text() == "e,s\n0,0\n1,1\n"
+
+
+def test_sweep_passes_when_its_worst_gap_equals_the_tolerance(tmp_path, monkeypatch):
+    import math
+
+    import entport.cli as cli
+
+    grid = SweepGrid([0.3, 0.7], [0.2, 0.9])
+    worst = float(cli.compare(grid)[0]["max_abs_discrepancy"].max())
+    assert worst > 0.0
+    monkeypatch.setattr(cli, "DISCREPANCY_TOL", worst)
+    assert cmd_sweep(grid, str(tmp_path / "at.csv")) == 0
+    monkeypatch.setattr(cli, "DISCREPANCY_TOL", math.nextafter(worst, 0.0))
+    assert cmd_sweep(grid, str(tmp_path / "below.csv")) == 1
