@@ -17,7 +17,7 @@ independent.
 
 One driver, :func:`_run_trials`, runs every check.  It gates the trial
 count and the seed, cuts the trials into blocks, makes each trial's
-generator, labels errors with the check and the seed, and folds the
+generator, labels errors with their check, seed and trial, and folds the
 violations into the report; each check gives only its draws, how it builds
 and evaluates a block, and its violations.  Per block, the driver first has
 each trial make its generator calls, in the order the trial's construction
@@ -132,12 +132,12 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
-def _evaluate(label: str, trial_of, *parts) -> np.ndarray:
-    """Negativities of the parts as one stack; a bad item i is reported as trial ``trial_of[i]``."""
+def _evaluate(position, *parts) -> np.ndarray:
+    """Negativities of the parts as one stack; bad item i is at block position ``position[i]``."""
     try:
         return negativities(np.concatenate(parts))
     except StackItemError as exc:
-        raise ValueError(f"{label}, trial {trial_of[exc.index[0]]}: {exc.reason}") from exc
+        raise StackItemError((position[exc.index[0]],), exc.reason) from exc
 
 
 def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomReport:
@@ -149,21 +149,26 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256 branches or more
     fills a block).  ``draw(gen)`` makes one trial's generator calls, from
     trial ``t``'s ``_generator(seed, tag, t)``, and returns its draws as a
-    tuple.  ``violations(label, block, *columns)`` gets the block's trial
-    range and its draws column by column, and returns the violations of its
-    trials in trial order; its errors start with ``label``, ``"C<tag>, seed
-    <seed>"``.  The running maximum starts at 0.0, which is the clamp: a run
-    whose violations are all negative reports 0.0.
+    tuple.  ``violations(block, *columns)`` gets the block's trial range and
+    its draws column by column, and returns the violations of its trials in
+    trial order.  A ``StackItemError`` it raises names a stack whose first
+    axis runs over the block's trials; it is reported as ``C<tag>, seed
+    <seed>, trial <t>: <reason>``.  The running maximum starts at 0.0, which
+    is the clamp: a run whose violations are all negative reports 0.0.
     """
     trials = _check_count("trials", trials, 1, MAX_TRIALS)
     step = max(1, STACK_BLOCK // matrices())
     _check_seed(seed)
-    label = f"C{tag}, seed {seed}"
     worst = 0.0
     for start in range(0, trials, step):
         block = range(start, min(start + step, trials))
         draws = [draw(_generator(seed, tag, t)) for t in block]
-        worst = max(worst, *violations(label, block, *zip(*draws)).ravel().tolist())
+        try:
+            found = violations(block, *zip(*draws))
+        except StackItemError as exc:
+            label = f"C{tag}, seed {seed}, trial {block[exc.index[0]]}"
+            raise ValueError(f"{label}: {exc.reason}") from exc
+        worst = max(worst, *found.ravel().tolist())
     return AxiomReport(f"C{tag}", trials, worst, worst <= AXIOM_TOL)
 
 
@@ -274,12 +279,12 @@ def _draw_c1(gen: np.random.Generator) -> tuple:
     return product, w / w.sum(), parts, gen.random(), gen.standard_normal(8)
 
 
-def _c1_violations(label, block, products, weights, parts, c0, z) -> np.ndarray:
+def _c1_violations(block, products, weights, parts, c0, z) -> np.ndarray:
     """Per trial: the product state's and the mixture's measure, and ``|N - c0|``."""
     separable = _product_states([*chain(*products, *parts)])
     mixed = _mixtures(weights, separable[len(block) :])
     pure = rotated_pure_state(c0, *_su2_pairs(z))
-    values = _evaluate(label, np.tile(block, 3), separable[: len(block)], mixed, pure)
+    values = _evaluate(np.tile(range(len(block)), 3), separable[: len(block)], mixed, pure)
     product, mixture, rotated = values.reshape(3, len(block))
     return np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
 
@@ -293,11 +298,12 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
     return _run_trials(1, trials, seed, lambda: 7, _draw_c1, _c1_violations)
 
 
-def _c2_violations(label, block, states, z) -> np.ndarray:
+def _c2_violations(block, states, z) -> np.ndarray:
     """Per trial: how far a local rotation moves the trial state's measure."""
     rho = _test_states(states)
-    u = _kron(*_check_unitary(_su2_pairs(z)))
-    rotated, original = np.split(_evaluate(label, np.tile(block, 2), u @ rho @ adjoint(u), rho), 2)
+    u = _kron(*map(_check_unitary, _su2_pairs(z)))
+    values = _evaluate(np.tile(range(len(block)), 2), u @ rho @ adjoint(u), rho)
+    rotated, original = np.split(values, 2)
     return np.abs(rotated - original)
 
 
@@ -327,22 +333,22 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     def draw(gen):
         return _draw_test_state(gen), _draw_lgm_cc(gen, branches)
 
-    def violations(label, block, states, families):
+    def violations(block, states, families):
         nonlocal skipped
         rho = _test_states(states)
         g, z, measuring_first = (np.array(column) for column in zip(*families))
         v = _kron(*_lgm_cc_operators(g, z, measuring_first))
         incomplete = ~(_completeness_residuals(v) <= COMPLETENESS_ATOL)  # NaN too
         if incomplete.any():
-            (index,) = _stack_item(incomplete)
             reason = "operator family does not satisfy completeness"
-            raise ValueError(f"{label}, trial {block[index]}: {reason}")
+            raise StackItemError(_stack_item(incomplete), reason)
         mapped = v @ rho[:, None] @ adjoint(v)
         p = mapped.trace(axis1=-2, axis2=-1).real
         kept = p >= BRANCH_PROB_FLOOR
         skipped += int(np.count_nonzero(~kept))
-        trial_of = np.concatenate([block, np.repeat(block, branches)[kept.ravel()]])
-        values = _evaluate(label, trial_of, rho, mapped[kept] / p[kept][:, None, None])
+        at = np.arange(len(block))
+        position = np.concatenate([at, np.repeat(at, branches)[kept.ravel()]])
+        values = _evaluate(position, rho, mapped[kept] / p[kept][:, None, None])
         weighted = np.zeros_like(p)
         weighted[kept] = p[kept] * values[len(block) :]
         # Sequential branch sums, as a running total would add them.

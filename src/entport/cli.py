@@ -133,8 +133,9 @@ def parse_values(text: str) -> list[float]:
     return values
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(row) -> str:
+    """One CSV line of the numbers in ``row``, each as ``%.17g``, from one template."""
+    return ",".join(["%.17g"] * len(row)) % row + "\n"
 
 
 def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
@@ -216,7 +217,7 @@ def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
         if fmt == "csv":
             handle.write(",".join(SWEEP_COLUMNS) + "\n")
             for row in rows:
-                handle.write(",".join(map(_fmt, row)) + "\n")
+                handle.write(_fmt(row))
         else:
             # The bytes of json.dump(list_of_row_dicts, indent=2, sort_keys=True),
             # one row at a time, so the rows are never all held as dicts.
@@ -309,8 +310,8 @@ def cmd_curve(points: int, out_path: str) -> int:
 
     def write(handle):
         handle.write("e,s\n")
-        for e, s in curve:
-            handle.write(f"{_fmt(e)},{_fmt(s)}\n")
+        for row in curve:
+            handle.write(_fmt(row))
 
     return _write_atomic(out_path, write)
 

@@ -372,6 +372,51 @@ class TestAxiomErrorsNameTheTrial:
             check_c3(100, 2, 7)
 
 
+def plant_zero_gaussians(monkeypatch, trial: int, pick) -> None:
+    """Zero the raw SU(2) Gaussians ``pick(draws)`` of trial ``trial`` (an index
+    over the whole run), so its unitaries normalise 0 / 0 into NaN entries."""
+    import entport.axioms as axioms
+
+    real = axioms._run_trials
+
+    def run(tag, trials, seed, matrices, draw, violations):
+        seen = 0
+
+        def planted(gen):
+            nonlocal seen
+            draws = draw(gen)
+            if seen == trial:
+                pick(draws)[...] = 0.0
+            seen += 1
+            return draws
+
+        return real(tag, trials, seed, matrices, planted, violations)
+
+    monkeypatch.setattr(axioms, "_run_trials", run)
+
+
+class TestUnitaryErrorsNameTheTrial:
+    """A trial whose local unitaries fail validation is reported by check, seed
+    and trial, whichever axis of its stack runs over the trials."""
+
+    @pytest.mark.parametrize(
+        "check,pick,run",
+        [
+            ("C1", lambda d: d[4], lambda: check_c1(100, 7)),  # rotated seed state
+            ("C2", lambda d: d[0][1], lambda: check_c2(100, 7)),  # trial state
+            ("C2", lambda d: d[1], lambda: check_c2(100, 7)),  # the (2, n) rotation pair
+            ("C3", lambda d: d[0][1], lambda: check_c3(100, 2, 7)),  # trial state
+            ("C3", lambda d: d[1][1], lambda: check_c3(100, 2, 7)),  # (n, branches) unitaries
+        ],
+        ids=["C1-state", "C2-state", "C2-rotation", "C3-state", "C3-family"],
+    )
+    def test_trial_89(self, monkeypatch, check, pick, run):
+        plant_zero_gaussians(monkeypatch, 89, pick)
+        message = rf"^{check}, seed 7, trial 89: matrix entries must be finite$"
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            run()
+
+
 def test_single_state_entry_points_reject_stacks():
     from entport.entanglement import entropy_of_entanglement
     from entport.information import information_decomposition, total_information
