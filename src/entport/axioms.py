@@ -28,9 +28,13 @@ Then the check normalises the block's SU(2) and Bloch vectors as stacks,
 builds the block's states, local unitaries and Kraus families as
 ``(..., d, d)`` stacks, validates them and evaluates every negativity with
 one stacked eigensolve, and the driver folds the per-trial violations in
-trial order.  Each stacked result equals the matrix-by-matrix computation
-bit for bit, and blocks hold at most ``STACK_BLOCK`` matrices (or one
-trial), so memory does not grow with the trial count.
+trial order.  Every stack a check validates or evaluates is trial-first:
+its first axis runs over the block's trials and its second, if any, over
+the parts of a trial (C1's three states, C2's rotated and original state,
+C3's input and branch states), so a bad item names its trial directly.
+Each stacked result equals the matrix-by-matrix computation bit for bit,
+and blocks hold at most ``STACK_BLOCK`` matrices (or one trial), so memory
+does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -132,14 +136,6 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
-def _evaluate(position, *parts) -> np.ndarray:
-    """Negativities of the parts as one stack; bad item i is at block position ``position[i]``."""
-    try:
-        return negativities(np.concatenate(parts))
-    except StackItemError as exc:
-        raise StackItemError((position[exc.index[0]],), exc.reason) from exc
-
-
 def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomReport:
     """Check ``C<tag>`` over ``trials`` trials: the trial driver of every suite.
 
@@ -149,24 +145,23 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256 branches or more
     fills a block).  ``draw(gen)`` makes one trial's generator calls, from
     trial ``t``'s ``_generator(seed, tag, t)``, and returns its draws as a
-    tuple.  ``violations(block, *columns)`` gets the block's trial range and
-    its draws column by column, and returns the violations of its trials in
-    trial order.  A ``StackItemError`` it raises names a stack whose first
-    axis runs over the block's trials; it is reported as ``C<tag>, seed
-    <seed>, trial <t>: <reason>``.  The running maximum starts at 0.0, which
-    is the clamp: a run whose violations are all negative reports 0.0.
+    tuple.  ``violations(*columns)`` gets the block's draws column by column
+    and returns the violations of its trials in trial order.  A
+    ``StackItemError`` it raises names a stack whose first axis runs over
+    the block's trials; it is reported as ``C<tag>, seed <seed>, trial <t>:
+    <reason>``.  The running maximum starts at 0.0, which is the clamp: a
+    run whose violations are all negative reports 0.0.
     """
     trials = _check_count("trials", trials, 1, MAX_TRIALS)
     step = max(1, STACK_BLOCK // matrices())
     _check_seed(seed)
     worst = 0.0
     for start in range(0, trials, step):
-        block = range(start, min(start + step, trials))
-        draws = [draw(_generator(seed, tag, t)) for t in block]
+        draws = [draw(_generator(seed, tag, t)) for t in range(start, min(start + step, trials))]
         try:
-            found = violations(block, *zip(*draws))
+            found = violations(*zip(*draws))
         except StackItemError as exc:
-            label = f"C{tag}, seed {seed}, trial {block[exc.index[0]]}"
+            label = f"C{tag}, seed {seed}, trial {start + exc.index[0]}"
             raise ValueError(f"{label}: {exc.reason}") from exc
         worst = max(worst, *found.ravel().tolist())
     return AxiomReport(f"C{tag}", trials, worst, worst <= AXIOM_TOL)
@@ -279,13 +274,13 @@ def _draw_c1(gen: np.random.Generator) -> tuple:
     return product, w / w.sum(), parts, gen.random(), gen.standard_normal(8)
 
 
-def _c1_violations(block, products, weights, parts, c0, z) -> np.ndarray:
+def _c1_violations(products, weights, parts, c0, z) -> np.ndarray:
     """Per trial: the product state's and the mixture's measure, and ``|N - c0|``."""
     separable = _product_states([*chain(*products, *parts)])
-    mixed = _mixtures(weights, separable[len(block) :])
+    mixed = _mixtures(weights, separable[len(c0) :])
     pure = rotated_pure_state(c0, *_su2_pairs(z))
-    values = _evaluate(np.tile(range(len(block)), 3), separable[: len(block)], mixed, pure)
-    product, mixture, rotated = values.reshape(3, len(block))
+    states = np.stack([separable[: len(c0)], mixed, pure], axis=1)  # (trials, 3, 4, 4)
+    product, mixture, rotated = negativities(states).T
     return np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
 
 
@@ -298,12 +293,11 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
     return _run_trials(1, trials, seed, lambda: 7, _draw_c1, _c1_violations)
 
 
-def _c2_violations(block, states, z) -> np.ndarray:
+def _c2_violations(states, z) -> np.ndarray:
     """Per trial: how far a local rotation moves the trial state's measure."""
     rho = _test_states(states)
     u = _kron(*map(_check_unitary, _su2_pairs(z)))
-    values = _evaluate(np.tile(range(len(block)), 2), u @ rho @ adjoint(u), rho)
-    rotated, original = np.split(values, 2)
+    rotated, original = negativities(np.stack([u @ rho @ adjoint(u), rho], axis=1)).T
     return np.abs(rotated - original)
 
 
@@ -321,7 +315,8 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
 
     The violation is the largest excess of a trial's branch average over its
     input's measure, clamped at 0.0 by the driver's fold.  Branches whose
-    probability lies below ``BRANCH_PROB_FLOOR`` are skipped and counted.
+    probability lies below ``BRANCH_PROB_FLOOR`` are skipped and counted:
+    each holds its trial's input state in the stack and weighs nothing.
     """
     skipped = 0
 
@@ -333,27 +328,26 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     def draw(gen):
         return _draw_test_state(gen), _draw_lgm_cc(gen, branches)
 
-    def violations(block, states, families):
+    def violations(states, families):
         nonlocal skipped
-        rho = _test_states(states)
+        rho = _test_states(states)[:, None]
         g, z, measuring_first = (np.array(column) for column in zip(*families))
         v = _kron(*_lgm_cc_operators(g, z, measuring_first))
         incomplete = ~(_completeness_residuals(v) <= COMPLETENESS_ATOL)  # NaN too
         if incomplete.any():
             reason = "operator family does not satisfy completeness"
             raise StackItemError(_stack_item(incomplete), reason)
-        mapped = v @ rho[:, None] @ adjoint(v)
+        mapped = v @ rho @ adjoint(v)
         p = mapped.trace(axis1=-2, axis2=-1).real
         kept = p >= BRANCH_PROB_FLOOR
         skipped += int(np.count_nonzero(~kept))
-        at = np.arange(len(block))
-        position = np.concatenate([at, np.repeat(at, branches)[kept.ravel()]])
-        values = _evaluate(position, rho, mapped[kept] / p[kept][:, None, None])
-        weighted = np.zeros_like(p)
-        weighted[kept] = p[kept] * values[len(block) :]
+        normalised = mapped / np.where(kept, p, 1.0)[..., None, None]
+        branch_states = np.where(kept[..., None, None], normalised, rho)
+        values = negativities(np.concatenate([rho, branch_states], axis=1))
+        weighted = np.where(kept, p * values[:, 1:], 0.0)
         # Sequential branch sums, as a running total would add them.
         averaged = np.cumsum(weighted, axis=-1)[:, -1]
-        return averaged - values[: len(block)]
+        return averaged - values[:, 0]
 
     report = _run_trials(3, trials, seed, matrices, draw, violations)
     report.skip_rate = skipped / (report.trials * branches)

@@ -30,15 +30,7 @@ from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3
 from .entanglement import entropy_vs_negativity_curve, negativities
 from .matkernel import _check_count, _herm_eigvals, _partial_transpose
 from .states import _check_range, _werner_ew, werner_states
-from .teleport import (
-    _entanglement,
-    _fidelity,
-    _information,
-    correlation_info_from_entanglement,
-    final_entanglement_closed_form,
-    final_information_closed_form,
-    simulate_grid,
-)
+from .teleport import _correlation_info, _entanglement, _fidelity, _information, simulate_grid
 
 #: The largest closed-vs-simulated gap may reach this, in sweep and verify alike.
 DISCREPANCY_TOL = 1e-8
@@ -243,19 +235,13 @@ def _fixture_violations() -> dict[str, np.ndarray]:
     states = werner_states(phi)
     expected = np.sort(np.hstack([np.repeat((1 - f) / 4, 3, axis=1), (1 + 3 * f) / 4]))
     expected_pt = np.sort(np.hstack([np.repeat((1 + f) / 4, 3, axis=1), (1 - 3 * f) / 4]))
-    consistency = [
-        abs(
-            correlation_info_from_entanglement(final_entanglement_closed_form(e0, ew), ew)
-            - final_information_closed_form(e0, ew).correlation
-        )
-        for ew in (0.25, 0.5, 0.75, 1.0)
-        for e0 in DEFAULT_E0_GRID
-    ]
+    ew, e0 = np.meshgrid([0.25, 0.5, 0.75, 1.0], DEFAULT_E0_GRID, indexing="ij")
+    consistency = _correlation_info(_entanglement(e0, ew), ew) - _information(e0, ew)[3]
     return {
         "werner_eigs": np.abs(_herm_eigvals(states) - expected),
         "werner_pt_eigs": np.abs(_herm_eigvals(_partial_transpose(states)) - expected_pt),
         "werner_negativity": np.abs(negativities(states) - _werner_ew(phi)),
-        "correlation_info_consistency": np.array(consistency),
+        "correlation_info_consistency": np.abs(consistency),
     }
 
 
@@ -362,8 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_merge_value_flags(argv))
     try:
         if args.command == "sweep":
-            e0_values = parse_values(args.e0) if args.e0 else list(DEFAULT_E0_GRID)
-            phi_values = parse_values(args.phi) if args.phi else list(DEFAULT_PHI_GRID)
+            e0_values = list(DEFAULT_E0_GRID) if args.e0 is None else parse_values(args.e0)
+            phi_values = list(DEFAULT_PHI_GRID) if args.phi is None else parse_values(args.phi)
             return cmd_sweep(SweepGrid(e0_values, phi_values), args.out, args.format)
         if args.command == "verify":
             return cmd_verify(args.trials, args.seed, args.out, branches=args.branches)

@@ -13,9 +13,12 @@ Input is validated once, at the public entry points.  The four unchecked
 cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and
 ``_purities`` (and ``_kron``, behind ``tensor``) work on input that is
 already validated and check nothing; ``partial_trace``,
-``partial_transpose``, ``herm_eigvals`` and ``purity`` validate, then call
-them.  ``_single`` is the gate of the entry points that take one matrix and
-not a stack, and ``_check_count`` the gate of every integer count or index.
+``partial_transpose`` and ``purity`` validate, then call them.  The
+Hermiticity check returns the symmetrised ``(m + m^dagger) / 2`` that
+``_herm_eigvals`` would build, so ``herm_eigvals`` and
+``check_density_matrix`` solve that array and form the adjoint once.
+``_single`` is the gate of the entry points that take one matrix and not a
+stack, and ``_check_count`` the gate of every integer count or index.
 ``check_density_matrix`` certifies positive semidefiniteness with one
 shifted Cholesky factorisation and runs the eigensolve only when that fails.
 
@@ -159,11 +162,14 @@ def _partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
-def _check_hermitian(m: np.ndarray, message: str) -> None:
-    deviation = np.abs(m - adjoint(m))
+def _check_hermitian(m: np.ndarray, message: str) -> np.ndarray:
+    """The symmetrised ``(m + m^dagger) / 2``, once ``m`` is Hermitian within tolerance."""
+    m_h = adjoint(m)
+    deviation = np.abs(m - m_h)
     if deviation.max(initial=0.0) > HERMITICITY_ATOL:
         index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
         raise StackItemError(index, message)
+    return (m + m_h) / 2
 
 
 def _check_unit_trace(m: np.ndarray, message: str) -> None:
@@ -183,14 +189,13 @@ def herm_eigvals(m: np.ndarray) -> np.ndarray:
     solved by one ``eigvalsh`` call and gives ``(..., d)`` eigenvalues.
     """
     m = as_operator(m)
-    _check_hermitian(m, "matrix is not Hermitian within tolerance")
-    return _herm_eigvals(m)
+    return np.linalg.eigvalsh(_check_hermitian(m, "matrix is not Hermitian within tolerance"))
 
 
 def _herm_eigvals(m: np.ndarray) -> np.ndarray:
     """:func:`herm_eigvals` of an operator or of each in a stack, unchecked.
 
-    The one symmetrised eigensolve, ``eigvalsh((m + m^dagger) / 2)``.
+    The symmetrised eigensolve, ``eigvalsh((m + m^dagger) / 2)``.
     """
     return np.linalg.eigvalsh((m + adjoint(m)) / 2)
 
@@ -209,16 +214,16 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """
     dims = (dim,) if dim is not None else ALLOWED_DIMS
     rho = as_operator(rho, dims=dims)
-    _check_hermitian(rho, "density matrix must be Hermitian")
+    symmetrised = _check_hermitian(rho, "density matrix must be Hermitian")
     _check_unit_trace(rho, "density matrix must have unit trace")
     try:
         # Cholesky is backward stable, so a factor of the symmetrised stack
         # shifted by PSD_ATOL / 2 puts every lowest eigenvalue above
         # -PSD_ATOL / 2 - O(n eps), far above -PSD_ATOL at unit trace.  The
         # symmetrisation matters: Cholesky reads only one triangle.
-        np.linalg.cholesky((rho + adjoint(rho)) / 2 + PSD_ATOL / 2 * np.eye(rho.shape[-1]))
+        np.linalg.cholesky(symmetrised + PSD_ATOL / 2 * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
-        lowest = _herm_eigvals(rho)[..., 0]
+        lowest = np.linalg.eigvalsh(symmetrised)[..., 0]
         bad_eig = lowest < -PSD_ATOL
         if bad_eig.any():
             index = _stack_item(bad_eig)

@@ -266,6 +266,13 @@ def _entanglement(e0, w):
     return (np.sqrt(_nonnegative(u * u + 3.0 * w * (2.0 + w) * e0 * e0)) - u) / 3.0
 
 
+def _correlation_info(e, w):
+    """Correlation information of the final state, read off its entanglement ``e`` (``w != 0``)."""
+    e0sq = e * (3.0 * e + 2.0 * (1.0 - w)) / (w * (2.0 + w))
+    g = _werner_f(w)
+    return g * g * (2.0 / 3.0) * e0sq * (4.0 - e0sq)
+
+
 def _information(e0, w):
     """Total, individual_a, individual_b and correlation, in :class:`InformationReport` order."""
     g = _werner_f(w)
@@ -326,6 +333,4 @@ def correlation_info_from_entanglement(e: float, ew: float) -> float:
     e, ew = _check_number("e", e, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
     if ew == 0.0:
         raise ValueError(f"ew must be positive, got {ew}")
-    e0sq = e * (3.0 * e + 2.0 * (1.0 - ew)) / (ew * (2.0 + ew))
-    g = _werner_f(ew)
-    return g * g * (2.0 / 3.0) * e0sq * (4.0 - e0sq)
+    return float(_correlation_info(e, ew))

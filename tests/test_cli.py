@@ -164,6 +164,27 @@ class TestVerify:
         assert diag["entanglement_clamped_max_delta"] < 1e-10
         assert diag["entanglement_phi_substitution_max_delta"] > 1e-3
 
+    def test_correlation_info_fixture_equals_the_public_wrappers(self):
+        import entport.cli as cli
+        from entport.teleport import (
+            correlation_info_from_entanglement,
+            final_entanglement_closed_form,
+            final_information_closed_form,
+        )
+
+        # The fixture reads the cores over one grid; the validated scalar
+        # wrappers, point by point, are the reference, to the bit.
+        expected = [
+            abs(
+                correlation_info_from_entanglement(final_entanglement_closed_form(e0, ew), ew)
+                - final_information_closed_form(e0, ew).correlation
+            )
+            for ew in (0.25, 0.5, 0.75, 1.0)
+            for e0 in DEFAULT_E0_GRID
+        ]
+        got = cli._fixture_violations()["correlation_info_consistency"]
+        assert got.ravel().tolist() == expected
+
     def test_deterministic_for_seed(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert cmd_verify(50, 123, str(out1)) == 0
@@ -256,6 +277,13 @@ class TestMain:
         assert main(["sweep", "--e0", "2.0", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["sweep", "--e0", "0:1", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["curve", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--e0", "--phi"])
+    def test_empty_grid_is_exit_2_not_the_default_grid(self, tmp_path, capsys, flag):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", flag, "", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: no values in ''\n"
 
     def test_sizes_over_a_cap_are_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -308,6 +308,37 @@ class TestPinnedAxiomValues:
         monkeypatch.setattr(axioms, "STACK_BLOCK", 7)
         assert [check_c1(40, 3), check_c2(40, 3), check_c3(40, 3, 3)] == reports
 
+    @pytest.mark.parametrize(
+        "trials,branches,seed,scale,pinned",
+        [
+            (100, 2, 7, 0.0, (4.440892098500626e-16, 0.01)),
+            (100, 3, 11, 0.0, (0.0, 2 / 300)),
+            (100, 2, 7, 1e-7, (0.0, 0.01)),
+        ],
+    )
+    def test_c3_skipped_branches(self, monkeypatch, trials, branches, seed, scale, pinned):
+        import entport.axioms as axioms
+
+        # Kraus rows scaled to zero give branch 1 of trials 5 and 61 probability
+        # 0, and rows scaled by 1e-7 a probability near 1e-14; both lie below
+        # the default floor, so those branches are skipped, weigh nothing and
+        # are never divided by their probability.
+        real = axioms._draw_lgm_cc
+        trial = 0
+
+        def planted(gen, branches):
+            nonlocal trial
+            g, z, measuring_first = real(gen, branches)
+            if trial in (5, 61):
+                g[2:4] *= scale
+            trial += 1
+            return g, z, measuring_first
+
+        monkeypatch.setattr(axioms, "_draw_lgm_cc", planted)
+        with np.errstate(divide="raise", invalid="raise"):
+            report = check_c3(trials, branches, seed)
+        assert (report.max_violation, report.skip_rate) == pinned
+
 
 def plant_non_psd_state(monkeypatch, builder: str, trial: int) -> None:
     """Make ``axioms.<builder>``, which builds one state per trial of a block,
