@@ -254,8 +254,10 @@ def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
     reported, ungated, as ``diagnostics.phi_negative_branch``.
     """
     # C3 runs first so that a bad trial or branch count fails before C1 and C2 run;
-    # every trial seeds its own generator, so the order changes no result.
+    # every trial seeds its own generator, so the order changes no result.  Its
+    # gates pass numpy integers too, so the report echoes them as Python ints.
     c3 = check_c3(trials, branches, seed)
+    trials, branches, seed = c3.trials, int(branches), int(seed)
     reports = check_c1(trials, seed), check_c2(trials, seed), c3
     axioms = {f"axiom_{r.condition.lower()}": r.max_violation for r in reports}
     _, gaps = compare(SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID)))

@@ -237,30 +237,10 @@ def bell_outcome(alpha: int) -> BellOutcome:
     )
 
 
-#: The Pauli-product basis in the order :func:`hs_compose_stack` adds it:
-#: ``sigma_n (x) 1``, ``1 (x) sigma_n``, then ``sigma_n (x) sigma_m`` for
-#: m = x, y, z, for each n in turn.
+#: The Pauli-product basis in the order :func:`hs_compose_stack` adds it and
+#: :func:`hs_decompose` reads it: ``sigma_n (x) 1``, ``1 (x) sigma_n``, then
+#: ``sigma_n (x) sigma_m`` for m = x, y, z, for each n in turn.
 _HS_BASIS = tuple(p for n in range(3) for p in (PAULI_A[n], PAULI_B[n], *PAULI_AB[n]))
-
-
-def _hs_gather_tables() -> tuple[np.ndarray, np.ndarray]:
-    # Every entry of a Pauli product is 0, +-1 or +-i, and each of the 16
-    # entries of a two-qubit operator is nonzero in exactly four of the 16
-    # products, the identity among them on the diagonal.  Row e of the tables
-    # lists, in basis order, which coefficient of _HS_BASIS feeds entry e and
-    # with which factor; the three-term diagonal rows get a zero factor.
-    basis = np.array(_HS_BASIS).reshape(len(_HS_BASIS), 16)
-    index = np.zeros((16, 4), dtype=np.intp)
-    factor = np.zeros((16, 4), dtype=complex)
-    for entry in range(16):
-        (terms,) = np.nonzero(basis[:, entry])
-        index[entry, : len(terms)] = terms
-        factor[entry, : len(terms)] = basis[terms, entry]
-    return _read_only(index), _read_only(factor)
-
-
-_HS_INDEX, _HS_FACTOR = _hs_gather_tables()
-_EYE4_FLAT = _read_only(np.eye(4, dtype=complex).reshape(16))
 
 
 def hs_compose_stack(a, b, c) -> np.ndarray:
@@ -269,20 +249,18 @@ def hs_compose_stack(a, b, c) -> np.ndarray:
     ``a`` and ``b`` have shape ``(..., 3)`` and ``c`` shape ``(..., 3, 3)``,
     with equal leading dimensions; the result has shape ``(..., 4, 4)``.
     Each item is ``(1/4) [1(x)1 + a.sigma (x) 1 + 1 (x) b.sigma
-    + sum_nm c[n,m] sigma_n (x) sigma_m]``, summed from the identity in the
-    basis order of ``_HS_BASIS``.  Each entry adds only the four terms whose
-    Pauli entry is nonzero.  The terms it leaves out are signed zeros, and a
-    signed zero added to a sum that starts at +0.0 or 1.0 (and so never
-    becomes -0.0) changes no bit: every item equals the term-by-term sum of
-    ``coefficient * basis matrix`` over the whole basis, bit for bit.
+    + sum_nm c[n,m] sigma_n (x) sigma_m]``, the term-by-term sum of
+    ``coefficient * basis matrix`` from the identity in the basis order of
+    ``_HS_BASIS``: the bit reference of :func:`seed_states` and
+    :func:`werner_states`.
     """
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
-    lead = c.shape[:-2]
-    coefficients = np.concatenate([a[..., None], b[..., None], c], axis=-1).reshape(*lead, 15)
-    rho = _EYE4_FLAT + coefficients[..., _HS_INDEX[:, 0]] * _HS_FACTOR[:, 0]
-    for k in (1, 2, 3):
-        rho += coefficients[..., _HS_INDEX[:, k]] * _HS_FACTOR[:, k]
-    return rho.reshape(*lead, 4, 4) / 4.0
+    coefficients = np.concatenate([a[..., None], b[..., None], c], axis=-1)
+    coefficients = coefficients.reshape(*c.shape[:-2], 15, 1, 1)
+    rho = np.eye(4, dtype=complex)
+    for k, p in enumerate(_HS_BASIS):
+        rho = rho + coefficients[..., k, :, :] * p
+    return rho / 4.0
 
 
 def hs_compose(form: HilbertSchmidtForm) -> np.ndarray:
@@ -304,23 +282,32 @@ def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
     rho = _single(as_operator(rho, dims=(4,)))
     _check_hermitian(rho, "matrix must be Hermitian")
     _check_unit_trace(rho, "matrix must have unit trace")
-    a = np.array([np.trace(rho @ p).real for p in PAULI_A])
-    b = np.array([np.trace(rho @ p).real for p in PAULI_B])
-    c = np.array([[np.trace(rho @ p).real for p in row] for row in PAULI_AB])
-    return HilbertSchmidtForm(a=a, b=b, c=c)
+    traces = np.array([np.trace(rho @ p).real for p in _HS_BASIS]).reshape(3, 5)
+    return HilbertSchmidtForm(a=traces[:, 0], b=traces[:, 1], c=traces[:, 2:])
 
 
 def seed_states(c0) -> np.ndarray:
-    """:func:`seed_state` of every ``c0`` in an array, as a ``(..., 4, 4)`` stack."""
+    """:func:`seed_state` of every ``c0`` in an array, as a ``(..., 4, 4)`` stack.
+
+    Writes the diagonal and the (0, 3) and (3, 0) entries directly; the rest
+    are zero.  Each adds its nonzero Pauli terms (``c0`` from
+    ``sigma_x (x) sigma_x`` and ``sigma_y (x) sigma_y``, ``a0`` from
+    ``sigma_z (x) 1`` and ``1 (x) sigma_z``, 1 from ``sigma_z (x) sigma_z``)
+    to the identity's entry in ``_HS_BASIS`` order, so the stack equals
+    :func:`hs_compose_stack` of the state's coefficients bit for bit, sign
+    of zero included.
+    """
     c0 = np.asarray(c0, dtype=float)
     _check_range("c0", c0, -1.0, 1.0)
-    a = np.zeros(c0.shape + (3,))
-    a[..., 2] = _seed_polarisation(c0)
-    c = np.zeros(c0.shape + (3, 3))
-    c[..., 0, 0] = c0
-    c[..., 1, 1] = -c0
-    c[..., 2, 2] = 1.0
-    return hs_compose_stack(a, a, c)
+    a0 = _seed_polarisation(c0)
+    rho = np.zeros(c0.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = 1.0 + a0 + a0 + 1.0
+    # (1, 1) is a roundoff residual, nonzero for many c0: an exact 0 would change results/.
+    rho[..., 1, 1] = 1.0 + a0 - a0 - 1.0
+    rho[..., 2, 2] = 1.0 - a0 + a0 - 1.0
+    rho[..., 3, 3] = 1.0 - a0 - a0 + 1.0
+    rho[..., 0, 3] = rho[..., 3, 0] = 0.0 + c0 + c0
+    return rho / 4.0
 
 
 def seed_state(c0: float) -> np.ndarray:
@@ -387,11 +374,19 @@ def random_local_unitary(rng) -> np.ndarray:
 
 
 def werner_states(phi) -> np.ndarray:
-    """:func:`werner_state` of every ``phi`` in an array, as a ``(..., 4, 4)`` stack."""
+    """:func:`werner_state` of every ``phi`` in an array, as a ``(..., 4, 4)`` stack.
+
+    Writes the nonzero entries directly, as :func:`seed_states` does: the
+    correlations ``-f`` of ``sigma_n (x) sigma_n`` added in ``_HS_BASIS`` order.
+    """
     phi = np.asarray(phi, dtype=float)
     _check_range("phi", phi, -1.0, 1.0)
-    zero = np.zeros(phi.shape + (3,))
-    return hs_compose_stack(zero, zero, -_werner_f(phi)[..., None, None] * np.eye(3))
+    f = _werner_f(phi)
+    rho = np.zeros(phi.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = 1.0 - f
+    rho[..., 1, 1] = rho[..., 2, 2] = 1.0 + f
+    rho[..., 1, 2] = rho[..., 2, 1] = 0.0 - f - f
+    return rho / 4.0
 
 
 def werner_state(phi: float) -> np.ndarray:

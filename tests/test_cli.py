@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from entport.cli import (
@@ -203,6 +204,23 @@ class TestVerify:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             cmd_verify(0, 1, "/tmp/never-written.json")
+
+    @pytest.mark.parametrize(
+        "numpy_args", [("trials",), ("seed",), ("branches",), ("trials", "seed", "branches")]
+    )
+    def test_numpy_integers_write_the_python_int_report(self, tmp_path, numpy_args):
+        # A numpy integer passes the count and seed gates, so json must be handed
+        # Python ints: the report is the one Python ints give.
+        args = {"trials": 20, "seed": 7, "branches": 2}
+        given = {k: np.int64(v) if k in numpy_args else v for k, v in args.items()}
+        reports = []
+        for name, kwargs in (("python.json", args), ("numpy.json", given)):
+            out = tmp_path / name
+            assert cmd_verify(out_path=str(out), **kwargs) == 0
+            reports.append(json.loads(out.read_text()))
+            del reports[-1]["timestamp"]
+        assert reports[1] == reports[0]
+        assert [type(reports[1][k]) for k in args] == [int, int, int]
 
     def test_unwritable_path_exits_2(self, tmp_path):
         assert cmd_verify(5, 1, str(tmp_path / "no" / "dir.json")) == 2

@@ -29,6 +29,7 @@ from entport.states import (
     _draw_su2,
     hs_compose,
     hs_compose_stack,
+    hs_decompose,
     qubit_states,
     random_local_unitary,
     random_product_state,
@@ -272,6 +273,70 @@ class TestBroadcastBuilders:
             assert np.array_equal(q[i], np.linalg.qr(g[i])[0])
 
 
+def raw_bits(x: np.ndarray) -> np.ndarray:
+    """The IEEE words of a float or complex array, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def term_by_term(a, b, c) -> np.ndarray:
+    """``(1/4) [1 + sum of coefficient * basis matrix]`` over all 15 Pauli
+    products in ``hs_compose_stack``'s order, zero coefficients included,
+    with every basis matrix built by ``np.kron`` when it is used."""
+    eye2 = np.eye(2, dtype=complex)
+    rho = np.eye(4, dtype=complex)
+    for n in range(3):
+        rho = rho + a[..., n, None, None] * np.kron(HAND_PAULIS[n], eye2)
+        rho = rho + b[..., n, None, None] * np.kron(eye2, HAND_PAULIS[n])
+        for m in range(3):
+            rho = rho + c[..., n, m, None, None] * np.kron(HAND_PAULIS[n], HAND_PAULIS[m])
+    return rho / 4.0
+
+
+# Signed zeros, units, a tiny normal value, the smallest subnormal, the floats
+# next to +-1, phi = -1/2 (where f = 0), then a fine grid over [-1, 1].
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324]
+EDGE_VALUES += [1 - 2**-53, -(1 - 2**-53), -0.5]
+PARAMETER_GRID = np.concatenate([EDGE_VALUES, np.linspace(-1.0, 1.0, 100_001)])
+
+
+class TestBuilderRawBits:
+    """The builders against the term-by-term sum, word for word: ``np.array_equal``
+    treats 0.0 and -0.0 as equal, these comparisons do not."""
+
+    def test_seed_states(self):
+        c0 = PARAMETER_GRID
+        a = np.zeros(c0.shape + (3,))
+        a[:, 2] = np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
+        c = np.zeros(c0.shape + (3, 3))
+        c[:, 0, 0], c[:, 1, 1], c[:, 2, 2] = c0, -c0, 1.0
+        assert np.array_equal(raw_bits(seed_states(c0)), raw_bits(term_by_term(a, a, c)))
+
+    def test_werner_states(self):
+        phi = PARAMETER_GRID
+        zero = np.zeros(phi.shape + (3,))
+        c = -((2.0 * phi + 1.0) / 3.0)[:, None, None] * np.eye(3)
+        assert np.array_equal(raw_bits(werner_states(phi)), raw_bits(term_by_term(zero, zero, c)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hs_compose_stack(self, seed):
+        gen = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 0.5, -0.25, 1e-300])
+        a, b = gen.choice(values, (2, 2000, 3))
+        c = gen.choice(values, (2000, 3, 3))
+        assert np.array_equal(raw_bits(hs_compose_stack(a, b, c)), raw_bits(term_by_term(a, b, c)))
+
+    def test_hs_decompose(self):
+        # Each coefficient is the real part of Tr[rho (basis matrix)], read one by one.
+        states = np.concatenate([seed_states(EDGE_VALUES), werner_states(EDGE_VALUES)])
+        for rho in states:
+            form = hs_decompose(rho)
+            a = [np.trace(rho @ np.kron(p, I2)).real for p in HAND_PAULIS]
+            b = [np.trace(rho @ np.kron(I2, p)).real for p in HAND_PAULIS]
+            c = [[np.trace(rho @ np.kron(p, q)).real for q in HAND_PAULIS] for p in HAND_PAULIS]
+            for got, expected in zip((form.a, form.b, form.c), (a, b, c)):
+                assert np.array_equal(raw_bits(got), raw_bits(np.array(expected)))
+
+
 # max_violation (C1-C3) and skip_rate (C3) of the scalar per-trial loops
 # these suites replaced, at 200 trials: seed -> value, and for C3
 # (seed, branches) -> (max_violation, skip_rate).
@@ -381,8 +446,8 @@ class TestAxiomErrorsNameTheTrial:
         import entport.axioms as axioms
 
         # Zero Kraus rows give branch 1 of trial 61 probability 0.  With the
-        # floor at 0 it is kept, and 0 / 0 makes its state non-finite; the item
-        # sits among the block's branch states, after all of its trial states.
+        # floor at 0 it is kept, and 0 / 0 makes its state non-finite; the bad
+        # item is (61, 2) of the block's (trials, branches + 1, 4, 4) stack.
         real = axioms._draw_lgm_cc
         trial = 0
 
