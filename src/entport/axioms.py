@@ -13,28 +13,8 @@ Trial states mix locally rotated pure states with pure/Werner convex
 combinations so that both the pure and the genuinely mixed regimes are
 covered.  Every trial derives its generator deterministically from the
 root seed and the trial index, so runs are reproducible and order
-independent.
-
-One driver, :func:`_run_trials`, runs every check.  It gates the trial
-count and the seed, cuts the trials into blocks, makes each trial's
-generator, labels errors with their check, seed and trial, and folds the
-violations into the report; each check gives only its draws, how it builds
-and evaluates a block, and its violations.  Per block, the driver first has
-each trial make its generator calls, in the order the trial's construction
-consumes them, and keeps only the raw draws.  A trial makes as few calls as
-its stream allows: Gaussian draws that follow one another are one
-``standard_normal`` call, which gives the same numbers as consecutive calls.
-Then the check normalises the block's SU(2) and Bloch vectors as stacks,
-builds the block's states, local unitaries and Kraus families as
-``(..., d, d)`` stacks, validates them and evaluates every negativity with
-one stacked eigensolve, and the driver folds the per-trial violations in
-trial order.  Every stack a check validates or evaluates is trial-first:
-its first axis runs over the block's trials and its second, if any, over
-the parts of a trial (C1's three states, C2's rotated and original state,
-C3's input and branch states), so a bad item names its trial directly.
-Each stacked result equals the matrix-by-matrix computation bit for bit,
-and blocks hold at most ``STACK_BLOCK`` matrices (or one trial), so memory
-does not grow with the trial count.
+independent.  One driver, :func:`_run_trials`, runs every check; its
+docstring says how a trial is drawn, evaluated and folded.
 """
 
 from __future__ import annotations
@@ -143,14 +123,33 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     check gates its own counts in that order; it returns the matrices one
     trial evaluates.  Blocks of consecutive trials hold at most
     ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256 branches or more
-    fills a block).  ``draw(gen)`` makes one trial's generator calls, from
-    trial ``t``'s ``_generator(seed, tag, t)``, and returns its draws as a
-    tuple.  ``violations(*columns)`` gets the block's draws column by column
-    and returns the violations of its trials in trial order.  A
-    ``StackItemError`` it raises names a stack whose first axis runs over
-    the block's trials; it is reported as ``C<tag>, seed <seed>, trial <t>:
-    <reason>``.  The running maximum starts at 0.0, which is the clamp: a
-    run whose violations are all negative reports 0.0.
+    fills a block), so memory does not grow with the trial count.
+
+    In each block, every trial first makes its generator calls:
+    ``draw(gen)`` makes them on trial ``t``'s ``_generator(seed, tag, t)``,
+    in the order the trial's construction consumes them, and returns the raw
+    draws as a tuple.  A trial makes the fewest calls that give the same
+    stream: Gaussian draws that follow one another are one
+    ``standard_normal`` call, which gives the same numbers as consecutive
+    calls.  So a C2 trial makes 4 or 6 calls and a C3 trial 5 or 7 at any
+    branch count; a C1 trial makes ``8 + 4 t`` for a mixture of ``t``
+    product states, because each Bloch vector's radius draw sits between
+    Gaussian draws (``states._draw_ball``).
+
+    Then ``violations(*columns)`` gets the block's draws column by column,
+    and no trial range.  It normalises the block's SU(2) and Bloch vectors as
+    stacks, builds the block's states, local unitaries and Kraus families as
+    stacks, validates them, evaluates every negativity with one stacked call
+    and returns the violations of its trials in trial order.  Every stack it
+    validates or evaluates is trial-first: its first axis runs over the
+    block's trials and its second, if any, over the parts of a trial (C1's
+    three states, C2's rotated and original state, C3's input and branch
+    states).  So a ``StackItemError`` it raises names the trial, and is
+    reported as ``C<tag>, seed <seed>, trial <t>: <reason>``.  Each stacked
+    result equals the trial-by-trial computation bit for bit.
+
+    The fold is a running maximum in trial order.  It starts at 0.0, which
+    is the clamp: a run whose violations are all negative reports 0.0.
     """
     trials = _check_count("trials", trials, 1, MAX_TRIALS)
     step = max(1, STACK_BLOCK // matrices())

@@ -27,7 +27,7 @@ from typing import TextIO
 import numpy as np
 
 from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3
-from .entanglement import entropy_vs_negativity_curve, negativities
+from .entanglement import _negativities, entropy_vs_negativity_curve
 from .matkernel import _check_count, _herm_eigvals, _partial_transpose
 from .states import _check_range, _werner_ew, werner_states
 from .teleport import _correlation_info, _entanglement, _fidelity, _information, simulate_grid
@@ -86,13 +86,20 @@ SWEEP_COLUMNS = (
 
 @dataclass
 class SweepGrid:
-    """The (e0, phi) grid a sweep runs over."""
+    """The (e0, phi) grid a sweep runs over.
 
-    e0_values: list[float]
-    phi_values: list[float]
+    Both axes are stored as float64 arrays, the values the range checks read,
+    so :func:`compare` evaluates the closed forms in float64 whatever the
+    dtype of the values given.
+    """
+
+    e0_values: np.ndarray
+    phi_values: np.ndarray
 
     def __post_init__(self):
         _check_count("grid points", len(self.e0_values) * len(self.phi_values), 1, MAX_GRID_POINTS)
+        self.e0_values = np.asarray(self.e0_values, dtype=np.float64)
+        self.phi_values = np.asarray(self.phi_values, dtype=np.float64)
         _check_range("e0", self.e0_values, 0.0, 1.0)
         _check_range("phi", self.phi_values, -1.0, 1.0)
 
@@ -165,6 +172,7 @@ def compare(grid: SweepGrid) -> tuple[dict[str, np.ndarray], dict[str, np.ndarra
     information, phi < 0 for the vanishing simulated entanglement and the ungated
     readings (phi substituted into the cores, and ew = 0).  The simulation and the
     closed forms, read at ``ew = max(0, phi)``, each run once over the whole grid.
+    A row's ``max_abs_discrepancy`` is the largest of its gated gaps.
     """
     e0 = np.repeat(grid.e0_values, len(grid.phi_values))
     phi = np.tile(grid.phi_values, len(grid.e0_values))
@@ -229,6 +237,7 @@ def _fixture_violations() -> dict[str, np.ndarray]:
     The spectra and negativities of Werner states at five weights against their
     exact values, and the correlation information read from the final
     entanglement against its closed form, at four channels and every default e0.
+    The Werner states are built here from constants, so they are not validated.
     """
     f = np.array([-1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])[:, None]
     phi = (3.0 * f[:, 0] - 1.0) / 2.0
@@ -240,7 +249,7 @@ def _fixture_violations() -> dict[str, np.ndarray]:
     return {
         "werner_eigs": np.abs(_herm_eigvals(states) - expected),
         "werner_pt_eigs": np.abs(_herm_eigvals(_partial_transpose(states)) - expected_pt),
-        "werner_negativity": np.abs(negativities(states) - _werner_ew(phi)),
+        "werner_negativity": np.abs(_negativities(states)[0] - _werner_ew(phi)),
         "correlation_info_consistency": np.abs(consistency),
     }
 
@@ -248,7 +257,8 @@ def _fixture_violations() -> dict[str, np.ndarray]:
 def cmd_verify(trials: int, seed: int, out_path: str, branches: int = 2) -> int:
     """Run the axiom suite, the oracle grids and the Werner fixtures.
 
-    Every source gives its violations by check name.  Each row of
+    Every source gives its violations by check name: the C1-C3 reports,
+    :func:`_fixture_violations` and the gaps of :func:`compare`.  Each row of
     ``VERIFY_CHECKS`` becomes one check entry, passed when the largest violation
     is at most its tolerance; the gaps of ``compare`` that no row names are
     reported, ungated, as ``diagnostics.phi_negative_branch``.

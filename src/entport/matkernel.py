@@ -13,14 +13,10 @@ Input is validated once, at the public entry points.  The four unchecked
 cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and
 ``_purities`` (and ``_kron``, behind ``tensor``) work on input that is
 already validated and check nothing; ``partial_trace``,
-``partial_transpose`` and ``purity`` validate, then call them.  The
-Hermiticity check returns the symmetrised ``(m + m^dagger) / 2`` that
-``_herm_eigvals`` would build, so ``herm_eigvals`` and
-``check_density_matrix`` solve that array and form the adjoint once.
+``partial_transpose`` and ``purity`` validate, then call them.
 ``_single`` is the gate of the entry points that take one matrix and not a
 stack, and ``_check_count`` the gate of every integer count or index.
-``check_density_matrix`` certifies positive semidefiniteness with one
-shifted Cholesky factorisation and runs the eigensolve only when that fails.
+:func:`check_density_matrix` says how it certifies positive semidefiniteness.
 
 Downstream formulas are exact rationals in the inputs, so roundoff is the
 only noise source; the tolerances below are sized accordingly.
@@ -163,7 +159,11 @@ def _partial_transpose(m: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, message: str) -> np.ndarray:
-    """The symmetrised ``(m + m^dagger) / 2``, once ``m`` is Hermitian within tolerance."""
+    """The symmetrised ``(m + m^dagger) / 2``, once ``m`` is Hermitian within tolerance.
+
+    It is the array ``_herm_eigvals`` would build, so :func:`herm_eigvals`
+    and :func:`check_density_matrix` solve it and form the adjoint once.
+    """
     m_h = adjoint(m)
     deviation = np.abs(m - m_h)
     if deviation.max(initial=0.0) > HERMITICITY_ATOL:

@@ -11,15 +11,9 @@ full four-particle protocol, and closed forms for the fidelity, the
 transferred entanglement and the transferred information.  With the
 standard corrections the conditional states of all four outcomes coincide,
 and the closed forms reproduce the simulation to near machine precision
-(the test suite enforces this).  Whatever the corrections, every outcome
-has probability exactly 1/4: the Werner channel's reduced state on
-particle 3 is maximally mixed (Lee & Kim, PRL 84, 4236, 2000), so no
-outcome is ever too unlikely to normalise.
-
-The simulation is one engine on stacks of inputs: :func:`simulate_grid`
-runs it over blocks of (e0, phi) points, and :func:`simulate` is the same
-engine on one input.  Every stacked step gives each item bit for bit what
-it gives one input alone.
+(the test suite enforces this).  The simulation is one engine,
+:func:`_protocol`, whose docstring gives its steps; :func:`simulate` runs it
+on one input and :func:`simulate_grid` on many points.
 """
 
 from __future__ import annotations
@@ -89,7 +83,14 @@ class BobStrategy:
 
 
 def optimal_strategy() -> BobStrategy:
-    """The fidelity-maximising strategy: identity, sigma_x, sigma_y, sigma_z."""
+    """The standard corrections: identity, sigma_x, sigma_y, sigma_z.
+
+    They maximise the fidelity only for ``phi >= -1/2``, that is ``f >= 0``.
+    The averaged fidelity is ``f`` times a term the corrections change, which
+    these corrections maximise, plus a term no correction changes; so below
+    ``phi = -1/2`` they minimise the fidelity instead.  The closed forms
+    describe this strategy at every ``phi``.
+    """
     return BobStrategy(corrections=BOB_CORRECTIONS)
 
 
@@ -145,9 +146,12 @@ def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrate
     operators of ``strategy`` in one broadcast ``op @ big @ op^dagger``,
     reads each outcome probability off the trace and traces out particles
     (2, 3) with one einsum.  Each outcome's state is divided by its
-    probability and weighted with it, with no floor: a Werner channel
-    state gives every outcome probability 1/4.  The weighted sums add the
-    outcomes in order (``sum``).  The inputs are not validated here.
+    probability and weighted with it, with no floor: the Werner channel's
+    reduced state on particle 3 is maximally mixed (Lee & Kim, PRL 84, 4236,
+    2000), so every outcome has probability exactly 1/4, whatever the input
+    and the corrections, and none is dropped.  The weighted sums add the
+    outcomes in order (``sum``).  Every step gives each item of the stack bit
+    for bit what it gives one input alone.  The inputs are not validated here.
     """
     big = _kron(rho12, channel_states)[..., None, :, :]  # particle order (1, 2, 3, 4)
     ops = strategy.operators
@@ -173,14 +177,10 @@ def simulate(
 ) -> TeleportationReport:
     """Run the protocol by brute force over all four Bell outcomes.
 
-    Builds the four-particle state ``rho12 (x) w34``, conjugates with the
-    Bell projector on particles (2, 3) and the correction on particle 4,
-    reads each outcome probability off the trace, and traces out particles
-    (2, 3): :func:`_protocol` on one input.  The Werner channel gives every
-    outcome probability 1/4, so all four conditional states are normalised
-    and kept in ``final_states``.  Entanglement and information of
-    the final state are evaluated on the outcome-averaged state, which is
-    not validated again: it is built from the validated ``rho12``.
+    This is :func:`_protocol` on one input; all four conditional states are
+    kept in ``final_states``.  Entanglement and information of the final
+    state are evaluated on the outcome-averaged state, which is not
+    validated again: it is built from the validated ``rho12``.
     """
     rho12 = _single(check_density_matrix(rho12, dim=4))
     if not isinstance(channel, WernerChannel):
@@ -249,7 +249,8 @@ def fidelity_general(
     """Outcome-averaged overlap of the final state with the initial state.
 
     ``sum_alpha p_alpha Tr(rho12 rho14_alpha)``, from the brute-force
-    simulation.  Maximised over strategies by :func:`optimal_strategy`.
+    simulation.  :func:`optimal_strategy` maximises it over strategies only
+    for ``phi >= -1/2`` (``f >= 0``), and minimises it below.
     """
     return simulate(rho12, channel, strategy).averaged_fidelity
 

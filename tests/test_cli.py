@@ -65,6 +65,15 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid([], [0.0])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float32_axis_sweeps_as_float64(self, tmp_path, fmt):
+        # The closed forms must run in float64, whatever dtype an axis is given in.
+        narrow, wide = tmp_path / "float32", tmp_path / "float64"
+        grid = SweepGrid(np.array([0.0, 0.5]), np.array([np.float32(0.3)]))
+        assert cmd_sweep(grid, str(narrow), fmt) == 0
+        assert cmd_sweep(SweepGrid([0.0, 0.5], [float(np.float32(0.3))]), str(wide), fmt) == 0
+        assert narrow.read_bytes() == wide.read_bytes()
+
     def test_defaults_cover_both_branches(self):
         assert len(DEFAULT_E0_GRID) == 11
         assert len(DEFAULT_PHI_GRID) == 9

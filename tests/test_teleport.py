@@ -212,6 +212,18 @@ class TestFidelity:
         f_rotated = fidelity_general(rotated, channel)
         assert abs(f_seed - f_rotated) < 1e-10
 
+    @pytest.mark.parametrize(
+        "phi, pauli, flipped",
+        [(-1.0, 1 / 3, 2 / 3), (-0.75, 5 / 12, 7 / 12), (-0.5, 1 / 2, 1 / 2), (0.0, 2 / 3, 1 / 3)],
+    )
+    def test_optimal_only_for_phi_at_least_minus_half(self, phi, pauli, flipped):
+        # F is f times a term the Pauli corrections maximise, plus a term no correction
+        # changes, so they lose to the sigma_x-composed corrections where f < 0.
+        sigma_x_composed = BobStrategy(tuple(u @ SIGMA_X for u in BOB_CORRECTIONS))
+        rho, channel = seed_state(0.0), WernerChannel(phi)
+        assert fidelity_general(rho, channel, optimal_strategy()) == pytest.approx(pauli, abs=1e-15)
+        assert fidelity_general(rho, channel, sigma_x_composed) == pytest.approx(flipped, abs=1e-15)
+
     def test_decreasing_in_initial_entanglement(self):
         for ew in (0.0, 0.5):
             values = [fidelity_closed_form(e0, ew) for e0 in E0_GRID]

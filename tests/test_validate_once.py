@@ -59,6 +59,12 @@ def test_compare_validates_no_matrix(calls):
     assert calls == {}
 
 
+def test_verify_fixtures_validate_no_matrix(calls):
+    # The Werner fixtures are built from constants, so their negativities need no check.
+    assert entport.cli._fixture_violations()["werner_negativity"].shape == (5,)
+    assert calls == {}
+
+
 def test_curve_validates_no_matrix(calls):
     assert len(entropy_vs_negativity_curve(2001)) == 2001
     assert calls == {}
