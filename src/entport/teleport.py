@@ -58,6 +58,13 @@ from .states import (
 #: memory.
 PROTOCOL_BLOCK = STACK_BLOCK // 16
 
+#: Roundoff by which a final entanglement may exceed the channel entanglement.
+#: The transferred entanglement grows with ``e0`` up to E(1, ew) = ew, so an
+#: ``e`` above ``ew`` cannot occur; the computed E(1, ew) exceeds ``ew`` by at
+#: most one eps, both from the closed form (10^6 linear and 10^6 log-spaced
+#: ``ew`` in [1e-300, 1]) and from :func:`simulate_grid` (4,001 ``phi`` in [0, 1]).
+FINAL_ENTANGLEMENT_ATOL = 4 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class BobStrategy:
@@ -280,6 +287,8 @@ def simulate(
         raise ValueError("channel must be a WernerChannel")
     if strategy is None:
         strategy = _OPTIMAL_STRATEGY
+    if not isinstance(strategy, BobStrategy):
+        raise ValueError("strategy must be a BobStrategy")
 
     out = _protocol(rho12[None], channel.state()[None], strategy)
     averaged = out.final_state[0]
@@ -423,9 +432,12 @@ def correlation_info_from_entanglement(e: float, ew: float) -> float:
     damped correlation-information form.  Requires ``ew > 0`` (the
     inversion divides by ``ew``); with an unentangled channel the final
     entanglement is identically zero and carries no information about
-    ``e0``.  Zero if and only if ``e`` is zero.
+    ``e0``.  Requires ``e <= ew`` within ``FINAL_ENTANGLEMENT_ATOL``: no
+    final entanglement exceeds the channel's.  Zero if and only if ``e`` is zero.
     """
     e, ew = _check_number("e", e, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
     if ew == 0.0:
         raise ValueError(f"ew must be positive, got {ew}")
+    if e > ew + FINAL_ENTANGLEMENT_ATOL:
+        raise ValueError(f"e must not exceed ew, got e = {e}, ew = {ew}")
     return float(_correlation_info(e, ew))

@@ -43,6 +43,7 @@ from entport.teleport import (
     fidelity_closed_form,
     final_entanglement_closed_form,
     final_information_closed_form,
+    fidelity_general,
     simulate,
 )
 
@@ -223,10 +224,11 @@ def test_cli_rejects_non_finite_values(flags, tmp_path, capsys):
 
 
 # Each scalar entry point with one parameter replaced by ``x``; the closed forms
-# take it in either argument (the other is 0.5, so ``ew`` stays positive).
+# take it in either argument.  The other is ew = 0.5 or e = 0.2, so ``ew`` stays
+# positive and ``e`` stays below it, as a final entanglement must, at x = 0.3.
 SCALAR_ENTRY_POINTS = {
     **{f"{f.__name__}(first)": (lambda x, f=f: f(x, 0.5)) for f in CLOSED_FORMS},
-    **{f"{f.__name__}(second)": (lambda x, f=f: f(0.5, x)) for f in CLOSED_FORMS},
+    **{f"{f.__name__}(second)": (lambda x, f=f: f(0.2, x)) for f in CLOSED_FORMS},
     "seed_state": seed_state,
     "werner_state": werner_state,
     "SeedParams": SeedParams,
@@ -263,6 +265,15 @@ def test_parameters_are_stored_as_floats():
     assert type(WernerChannel(np.float64(0.5)).phi) is float
     assert WernerChannel(np.array(0.5)) == WernerChannel(0.5)
     assert type(correlation_info_from_entanglement(np.float64(0.2), np.array(0.5))) is float
+
+
+@pytest.mark.parametrize("entry", [simulate, fidelity_general], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("strategy", ["x", BOB_CORRECTIONS, 0], ids=["str", "array", "int"])
+def test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy(entry, strategy):
+    with pytest.raises(ValueError, match="^strategy must be a BobStrategy$"):
+        entry(seed_state(0.5), WernerChannel(0.5), strategy)
+    with pytest.raises(ValueError, match="^channel must be a WernerChannel$"):
+        entry(seed_state(0.5), 0.5)
 
 
 # The axiom checks with every argument but the seed fixed.

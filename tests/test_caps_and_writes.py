@@ -1,15 +1,18 @@
 """Sizes from the command line are capped up front, and outputs are written atomically."""
 
+import io
 import json
 import os
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import entport.cli as cli
 from entport.axioms import MAX_TRIALS, check_c1, check_c2, check_c3
 from entport.cli import MAX_GRID_POINTS, SweepGrid, cmd_curve, cmd_verify, main, parse_values
+from entport.matkernel import STACK_BLOCK
 
 
 class TestTrialCap:
@@ -108,29 +111,83 @@ class TestJsonSweep:
         assert json_peak <= 1.1 * csv_peak, (csv_peak, json_peak)
 
 
+class TestCsvWriter:
+    """``sweep --format csv`` and ``curve`` write through one blocked writer."""
+
+    SPECIAL = [-0.0, 5e-324, 1e-300, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize("columns", [2, 4, len(cli.SWEEP_COLUMNS)])
+    @pytest.mark.parametrize(
+        "rows", [1, STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1, 2 * STACK_BLOCK + 1]
+    )
+    def test_bytes_equal_each_value_formatted_alone(self, rows, columns):
+        rng = np.random.default_rng([rows, columns])
+        shape = (rows, columns)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        table.flat[:4], table.flat[-4:] = self.SPECIAL, self.SPECIAL[::-1]
+        header = [f"c{i}" for i in range(columns)]
+        handle = io.StringIO()
+        cli._write_csv(handle, header, rows, lambda s: table[s].ravel().tolist())
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()
+        )
+        assert handle.getvalue() == expected
+
+
 def names_in(directory):
     return sorted(p.name for p in directory.iterdir())
+
+
+def fill_the_disk_after_one_block(monkeypatch) -> list[int]:
+    """Make a file that ``cli`` opens fail the first write after ``STACK_BLOCK + 1`` lines.
+
+    Returns, once the write has failed, the number of lines the file then held on disk.
+    """
+    on_disk = []
+
+    class FullDisk:
+        def __init__(self, path, *args, **kwargs):
+            self.path, self.handle, self.lines = path, open(path, *args, **kwargs), 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            if self.lines > STACK_BLOCK:
+                self.handle.flush()
+                with open(self.path) as written:
+                    on_disk.append(written.read().count("\n"))
+                raise OSError(28, "No space left on device")
+            self.lines += text.count("\n")
+            return self.handle.write(text)
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    return on_disk
 
 
 class TestAtomicWrites:
     def test_failed_curve_write_keeps_the_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "curve.csv"
         out.write_text("previous\n")
-        real_fmt = cli._fmt
-        calls = 0
-
-        def failing_fmt(x):
-            nonlocal calls
-            calls += 1
-            if calls > 50:
-                raise OSError(28, "No space left on device")
-            return real_fmt(x)
-
-        monkeypatch.setattr(cli, "_fmt", failing_fmt)
-        assert cmd_curve(101, str(out)) == 2
-        assert calls > 50
+        on_disk = fill_the_disk_after_one_block(monkeypatch)
+        assert cmd_curve(2 * STACK_BLOCK + 1, str(out)) == 2
+        assert on_disk and on_disk[0] >= 1 + STACK_BLOCK
         assert out.read_text() == "previous\n"
         assert names_in(tmp_path) == ["curve.csv"]
+
+    def test_failed_csv_sweep_write_keeps_the_old_output(self, tmp_path, monkeypatch):
+        grid = SweepGrid(parse_values("0:1:25"), parse_values("-1:1:41"))
+        assert len(grid.e0_values) * len(grid.phi_values) == 2 * STACK_BLOCK + 1
+        out = tmp_path / "sweep.csv"
+        out.write_text("previous\n")
+        on_disk = fill_the_disk_after_one_block(monkeypatch)
+        assert cli.cmd_sweep(grid, str(out), "csv") == 2
+        assert on_disk and on_disk[0] >= 1 + STACK_BLOCK
+        assert out.read_text() == "previous\n"
+        assert names_in(tmp_path) == ["sweep.csv"]
 
     def test_failed_verify_write_keeps_the_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "verify.json"

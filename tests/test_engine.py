@@ -167,6 +167,29 @@ class TestCurveCore:
         large = traced_peak(_seed_entropies, [np.linspace(0.0, 1.0, 10_000)], 8 * 10_000)
         assert large <= 1.1 * small, (small, large)
 
+    def test_curve_states_skip_the_purity_check_only_inside(self, monkeypatch):
+        import entport.entanglement as entanglement
+
+        checked = []
+        real_purities = entanglement._purities
+
+        def counted_purities(rho):
+            checked.append(rho.shape)
+            return real_purities(rho)
+
+        monkeypatch.setattr(entanglement, "_purities", counted_purities)
+        entropy_vs_negativity_curve(2 * STACK_BLOCK + 1)
+        assert checked == []
+        with pytest.raises(ValueError, match="pure states only"):
+            entropy_of_entanglement(werner_state(0.5))
+        assert checked == [(4, 4)]
+
+    def test_curve_equals_the_checked_entropy_of_each_point(self):
+        curve = entropy_vs_negativity_curve(2 * STACK_BLOCK + 1)
+        e = [x for x, _ in curve]
+        assert e == np.linspace(0.0, 1.0, 2 * STACK_BLOCK + 1).tolist()
+        assert identical([s for _, s in curve], [entropy_of_entanglement(seed_state(x)) for x in e])
+
     def test_rejects_a_mixed_state_in_a_stack(self):
         stack = np.array([seed_state(0.2), werner_state(0.5), seed_state(0.9)])
         with pytest.raises(ValueError, match=r"^stack item 1: .*pure states only"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,7 +314,7 @@ class TestFinalInformation:
 class TestCorrelationInfoFromEntanglement:
     def test_zero_iff_zero(self):
         assert correlation_info_from_entanglement(0.0, 0.5) == 0.0
-        for e in (0.01, 0.3, 0.9):
+        for e in (0.01, 0.3, 0.5):
             assert correlation_info_from_entanglement(e, 0.5) > 0.0
 
     def test_perfect_channel_reduces_to_initial_form(self):
@@ -333,6 +335,20 @@ class TestCorrelationInfoFromEntanglement:
         got = correlation_info_from_entanglement(e_final, 0.5)
         expected = final_information_closed_form(0.8, 0.5).correlation
         assert got == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("e, ew", [(1.0, 0.001), (0.1, 1e-300), (0.5 + 1e-9, 0.5)])
+    def test_rejects_more_entanglement_than_the_channel_has(self, e, ew):
+        # No final entanglement exceeds the channel's; these gave -463237.75 and -inf.
+        message = f"^e must not exceed ew, got e = {re.escape(str(e))}, ew = {re.escape(str(ew))}$"
+        with pytest.raises(ValueError, match=message):
+            correlation_info_from_entanglement(e, ew)
+
+    def test_accepts_the_final_entanglement_of_a_maximally_entangled_input(self):
+        # E(1, ew) = ew exactly; its roundoff may put it an eps above ew.
+        ews = np.concatenate([np.linspace(0.0, 1.0, 2_001)[1:], np.logspace(-300, 0, 2_000)])
+        for ew in ews.tolist():
+            got = correlation_info_from_entanglement(final_entanglement_closed_form(1.0, ew), ew)
+            assert 0.0 <= got <= 2.0 + 1e-12
 
     def test_rejects_unentangled_channel(self):
         with pytest.raises(ValueError):
