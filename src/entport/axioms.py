@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .entanglement import negativities
-from .matkernel import STACK_BLOCK, StackItemError, _check_count, _kron, _stack_item
+from .matkernel import STACK_BLOCK, StackItemError, _check_count, _kron, _reject
 from .matkernel import adjoint, tensor
 from .states import (
     _as_generator,
@@ -333,9 +333,7 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
         g, z, measuring_first = (np.array(column) for column in zip(*families))
         v = _kron(*_lgm_cc_operators(g, z, measuring_first))
         incomplete = ~(_completeness_residuals(v) <= COMPLETENESS_ATOL)  # NaN too
-        if incomplete.any():
-            reason = "operator family does not satisfy completeness"
-            raise StackItemError(_stack_item(incomplete), reason)
+        _reject(incomplete, "operator family does not satisfy completeness")
         mapped = v @ rho @ adjoint(v)
         p = mapped.trace(axis1=-2, axis2=-1).real
         kept = p >= BRANCH_PROB_FLOOR

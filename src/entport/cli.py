@@ -89,20 +89,20 @@ SWEEP_COLUMNS = (
 class SweepGrid:
     """The (e0, phi) grid a sweep runs over.
 
-    Both axes are stored as float64 arrays, the values the range checks read,
-    so :func:`compare` evaluates the closed forms in float64 whatever the
-    dtype of the values given.
+    Both axes are stored as 1-D float64 arrays, the values the range checks
+    read, so :func:`compare` evaluates the closed forms in float64 whatever
+    the dtype of the values given.
     """
 
     e0_values: np.ndarray
     phi_values: np.ndarray
 
     def __post_init__(self):
-        _check_count("grid points", len(self.e0_values) * len(self.phi_values), 1, MAX_GRID_POINTS)
-        self.e0_values = np.asarray(self.e0_values, dtype=np.float64)
-        self.phi_values = np.asarray(self.phi_values, dtype=np.float64)
-        _check_range("e0", self.e0_values, 0.0, 1.0)
-        _check_range("phi", self.phi_values, -1.0, 1.0)
+        e0 = self.e0_values = _check_range("e0", self.e0_values, 0.0, 1.0)
+        phi = self.phi_values = _check_range("phi", self.phi_values, -1.0, 1.0)
+        if e0.ndim != 1 or phi.ndim != 1:
+            raise ValueError(f"e0 and phi axes must be 1-D, got shapes {e0.shape}, {phi.shape}")
+        _check_count("grid points", e0.size * phi.size, 1, MAX_GRID_POINTS)
 
 
 def _parse(kind: type, field: str, token: str):

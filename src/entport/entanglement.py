@@ -16,15 +16,14 @@ import numpy as np
 
 from .matkernel import (
     STACK_BLOCK,
-    StackItemError,
     _check_count,
     _herm_eigvals,
     _nonnegative,
     _partial_trace,
     _partial_transpose,
     _purities,
+    _reject,
     _single,
-    _stack_item,
     check_density_matrix,
 )
 from .states import seed_states
@@ -109,9 +108,7 @@ def _entropies(rho: np.ndarray) -> np.ndarray:
     One stacked purity check, then :func:`_pure_entropies`.
     """
     impure = abs(_purities(rho) - 1.0) > PURITY_ATOL
-    if impure.any():
-        reason = "entropy of entanglement is defined for pure states only"
-        raise StackItemError(_stack_item(impure), reason)
+    _reject(impure, "entropy of entanglement is defined for pure states only")
     return _pure_entropies(rho)
 
 

@@ -16,6 +16,9 @@ already validated and check nothing; ``partial_trace``,
 ``partial_transpose`` and ``purity`` validate, then call them.
 ``_single`` is the gate of the entry points that take one matrix and not a
 stack, and ``_check_count`` the gate of every integer count or index.
+``_reject`` is the one way a stack item is rejected: every check of a
+stack, here and in the other modules, hands it the items that fail, and it
+raises the :class:`StackItemError` that names the first of them.
 :func:`check_density_matrix` says how it certifies positive semidefiniteness.
 
 Downstream formulas are exact rationals in the inputs, so roundoff is the
@@ -50,11 +53,6 @@ TRACE_ATOL = 1e-10
 STACK_BLOCK = 512
 
 
-def _stack_item(bad: np.ndarray) -> tuple[int, ...]:
-    """Index of the first stack item where ``bad`` holds (``()`` for one matrix)."""
-    return tuple(int(i) for i in np.argwhere(bad)[0])
-
-
 class StackItemError(ValueError):
     """A ``ValueError`` that keeps the failed stack item's ``index`` (``()``: one matrix)."""
 
@@ -62,6 +60,17 @@ class StackItemError(ValueError):
         where = f"stack item {index[0] if len(index) == 1 else index}: " if index else ""
         super().__init__(where + reason)
         self.index, self.reason = index, reason
+
+
+def _reject(bad: np.ndarray, reason: str, values: np.ndarray | None = None) -> None:
+    """Raise a :class:`StackItemError` at the first stack item where ``bad`` holds.
+
+    ``bad`` has one entry per item (0-d for one matrix).  With ``values``,
+    shaped as ``bad``, the ``{}`` in ``reason`` is filled with that item's value.
+    """
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise StackItemError(index, reason if values is None else reason.format(values[index]))
 
 
 def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
@@ -77,10 +86,7 @@ def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape[-1] not in dims:
         raise ValueError(f"dimension {a.shape[-1]} not supported (allowed: {dims})")
-    finite = np.isfinite(a)
-    if not finite.all():
-        index = _stack_item(~finite.all(axis=(-2, -1)))
-        raise StackItemError(index, "matrix entries must be finite")
+    _reject(~np.isfinite(a).all(axis=(-2, -1)), "matrix entries must be finite")
     return a
 
 
@@ -165,19 +171,13 @@ def _check_hermitian(m: np.ndarray, message: str) -> np.ndarray:
     and :func:`check_density_matrix` solve it and form the adjoint once.
     """
     m_h = adjoint(m)
-    deviation = np.abs(m - m_h)
-    if deviation.max(initial=0.0) > HERMITICITY_ATOL:
-        index = _stack_item(deviation.max(axis=(-2, -1)) > HERMITICITY_ATOL)
-        raise StackItemError(index, message)
+    _reject(np.abs(m - m_h).max(axis=(-2, -1)) > HERMITICITY_ATOL, message)
     return (m + m_h) / 2
 
 
 def _check_unit_trace(m: np.ndarray, message: str) -> None:
     tr = m.trace(axis1=-2, axis2=-1)
-    bad = abs(tr - 1.0) > TRACE_ATOL
-    if bad.any():
-        index = _stack_item(bad)
-        raise StackItemError(index, f"{message}, got {tr[index]}")
+    _reject(abs(tr - 1.0) > TRACE_ATOL, f"{message}, got {{}}", tr)
 
 
 def herm_eigvals(m: np.ndarray) -> np.ndarray:
@@ -224,11 +224,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
         np.linalg.cholesky(symmetrised + PSD_ATOL / 2 * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
         lowest = np.linalg.eigvalsh(symmetrised)[..., 0]
-        bad_eig = lowest < -PSD_ATOL
-        if bad_eig.any():
-            index = _stack_item(bad_eig)
-            reason = f"density matrix has a negative eigenvalue: {lowest[index]}"
-            raise StackItemError(index, reason)
+        _reject(lowest < -PSD_ATOL, "density matrix has a negative eigenvalue: {}", lowest)
     return rho
 
 

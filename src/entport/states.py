@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkernel import (
-    StackItemError,
     _check_count,
     _check_hermitian,
     _check_unit_trace,
     _kron,
     _nonnegative,
+    _reject,
     _single,
-    _stack_item,
     adjoint,
     as_operator,
     tensor,
@@ -70,19 +69,24 @@ def _check_unitary(u) -> np.ndarray:
     """Validate a qubit unitary, or every item of a ``(..., 2, 2)`` stack."""
     u = as_operator(u, dims=(2,))
     deviation = np.abs(u @ adjoint(u) - ID2).max(axis=(-2, -1))
-    if deviation.max(initial=0.0) > UNITARITY_ATOL:
-        index = _stack_item(deviation > UNITARITY_ATOL)
-        raise StackItemError(index, "matrix is not unitary within tolerance")
+    _reject(deviation > UNITARITY_ATOL, "matrix is not unitary within tolerance")
     return u
 
 
-def _check_range(name: str, values, lo: float, hi: float) -> None:
-    """Reject any of ``values`` (a number or an array) outside [lo, hi], NaN included."""
-    values = np.asarray(values, dtype=float)
-    inside = (values >= lo) & (values <= hi)  # False for NaN
-    if not inside.all():
-        index = _stack_item(~inside)
-        raise StackItemError(index, f"{name} must lie in [{lo:g}, {hi:g}], got {values[index]}")
+def _check_range(name: str, values, lo: float, hi: float) -> np.ndarray:
+    """``values`` (a number or an array) as float64, if each is a real number in [lo, hi].
+
+    Real numbers are the bool, integer and float dtypes; any other dtype
+    (complex, string, object) is a ``ValueError``, as is NaN or a value
+    outside [lo, hi].
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
+    array = array.astype(float, copy=False)
+    inside = (array >= lo) & (array <= hi)  # False for NaN
+    _reject(~inside, f"{name} must lie in [{lo:g}, {hi:g}], got {{}}", array)
+    return array
 
 
 def _check_number(name: str, x, lo: float, hi: float) -> float:
@@ -95,8 +99,8 @@ def _check_number(name: str, x, lo: float, hi: float) -> float:
     value = x[()] if isinstance(x, np.ndarray) else x
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a single real number, got {x!r}")
-    _check_range(name, value, lo, hi)
-    return float(value)
+    # float() first: a Fraction, or an int beyond int64, is an object array.
+    return float(_check_range(name, float(value), lo, hi))
 
 
 def _check_seed(seed) -> None:
@@ -297,8 +301,7 @@ def seed_states(c0) -> np.ndarray:
     :func:`hs_compose_stack` of the state's coefficients bit for bit, sign
     of zero included.
     """
-    c0 = np.asarray(c0, dtype=float)
-    _check_range("c0", c0, -1.0, 1.0)
+    c0 = _check_range("c0", c0, -1.0, 1.0)
     a0 = _seed_polarisation(c0)
     rho = np.zeros(c0.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0 + a0 + a0 + 1.0
@@ -380,8 +383,7 @@ def werner_states(phi) -> np.ndarray:
     Writes the nonzero entries directly, as :func:`seed_states` does: the
     correlations ``-f`` of ``sigma_n (x) sigma_n`` added in ``_HS_BASIS`` order.
     """
-    phi = np.asarray(phi, dtype=float)
-    _check_range("phi", phi, -1.0, 1.0)
+    phi = _check_range("phi", phi, -1.0, 1.0)
     f = _werner_f(phi)
     rho = np.zeros(phi.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = rho[..., 3, 3] = 1.0 - f

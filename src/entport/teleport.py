@@ -313,11 +313,9 @@ def simulate_grid(e0, phi) -> GridReport:
     matching :func:`simulate` output bit for bit.  The seed states are
     built here from the range-checked ``e0``, so they are not validated again.
     """
-    e0, phi = np.asarray(e0, dtype=float), np.asarray(phi, dtype=float)
+    e0, phi = _check_range("e0", e0, 0.0, 1.0), _check_range("phi", phi, -1.0, 1.0)
     if e0.ndim != 1 or e0.shape != phi.shape:
         raise ValueError(f"e0 and phi must be 1-D of equal length, got {e0.shape}, {phi.shape}")
-    _check_range("e0", e0, 0.0, 1.0)
-    _check_range("phi", phi, -1.0, 1.0)
     out = GridReport(np.empty(len(e0)), np.empty(len(e0)), np.empty((len(e0), 4)))
     for start in range(0, len(e0), PROTOCOL_BLOCK):
         block = slice(start, start + PROTOCOL_BLOCK)

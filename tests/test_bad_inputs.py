@@ -35,16 +35,21 @@ from entport.states import (
     hs_decompose,
     random_local_unitary,
     random_product_state,
+    rotated_pure_state,
     seed_state,
+    seed_states,
     werner_state,
+    werner_states,
 )
 from entport.teleport import (
     correlation_info_from_entanglement,
     fidelity_closed_form,
     final_entanglement_closed_form,
     final_information_closed_form,
+    final_state_closed_form,
     fidelity_general,
     simulate,
+    simulate_grid,
 )
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -249,6 +254,28 @@ def test_scalar_entry_points_reject_what_is_not_a_number(name, bad):
         SCALAR_ENTRY_POINTS[name](bad)
 
 
+# Each entry point that takes an array of parameter values, with one parameter
+# replaced by ``x`` and the others fixed; the key names that parameter.
+ARRAY_ENTRY_POINTS = {
+    "e0 simulate_grid": lambda x: simulate_grid(x, [0.5]),
+    "phi simulate_grid": lambda x: simulate_grid([0.5], x),
+    "e0 SweepGrid": lambda x: SweepGrid(x, [0.5]),
+    "phi SweepGrid": lambda x: SweepGrid([0.5], x),
+    "c0 seed_states": seed_states,
+    "phi werner_states": werner_states,
+    "c0 rotated_pure_state": lambda x: rotated_pure_state(x, BOB_CORRECTIONS[1], BOB_CORRECTIONS[2]),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [[0.3 + 1j], 0.3 + 0.1j, ["0.3"], [None]], ids=repr)
+def test_array_entry_points_reject_what_is_not_a_real_number(name, bad):
+    # Rejected before numpy would drop an imaginary part or parse a string.
+    parameter = name.split()[0]
+    with pytest.raises(ValueError, match=f"^{parameter} must be real numbers, got dtype "):
+        ARRAY_ENTRY_POINTS[name](bad)
+
+
 @pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
 def test_scalar_entry_points_accept_numpy_numbers(name):
     def plain(result):
@@ -274,6 +301,11 @@ def test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy(entry, strateg
         entry(seed_state(0.5), WernerChannel(0.5), strategy)
     with pytest.raises(ValueError, match="^channel must be a WernerChannel$"):
         entry(seed_state(0.5), 0.5)
+
+
+def test_final_state_closed_form_rejects_a_channel_that_is_not_a_werner_channel():
+    with pytest.raises(ValueError, match="^channel must be a WernerChannel$"):
+        final_state_closed_form(hs_decompose(seed_state(0.5)), 0.5)
 
 
 # The axiom checks with every argument but the seed fixed.

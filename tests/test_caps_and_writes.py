@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import time
 import tracemalloc
 
@@ -75,6 +76,24 @@ class TestGridCap:
             SweepGrid(parse_values("0:1:250"), parse_values("-1:1:401"))
         with pytest.raises(ValueError, match=r"grid points must lie in \[1, 100000\], got 0"):
             SweepGrid([], [0.0])
+
+    @pytest.mark.parametrize(
+        ("e0_shape", "phi_shape"),
+        [((1, 300), (300,)), ((300,), (300, 1)), ((1, 100_000), (100_000,)), ((), (3,))],
+    )
+    def test_axes_must_be_one_dimensional(self, e0_shape, phi_shape):
+        # A (1, n) axis has len 1, so counting len() against the cap would pass
+        # it, and compare would expand n times as many points as were counted.
+        e0, phi = np.zeros(e0_shape), np.zeros(phi_shape)
+        message = re.escape(f"e0 and phi axes must be 1-D, got shapes {e0_shape}, {phi_shape}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SweepGrid(e0, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
 
 class TestJsonSweep:

@@ -31,9 +31,16 @@ from entport.teleport import (
 )
 
 from conftest import random_density_matrix
+from test_locc_monotonicity import ginibre_state
 
 E0_GRID = [round(0.1 * i, 10) for i in range(11)]
 PHI_GRID = [-1.0 + 0.25 * i for i in range(9)]
+
+#: Roundoff allowed when two strategies' simulated fidelities are compared.
+#: Equality is reachable: at phi = -1/2 (f = 0) no correction changes F, and
+#: there the simulated fidelities of different strategies differ by up to
+#: eps / 2 (400 Ginibre inputs, seed 0).
+STRATEGY_ROUNDOFF = 16 * np.finfo(float).eps
 
 
 def identity_strategy():
@@ -225,6 +232,26 @@ class TestFidelity:
         rho, channel = seed_state(0.0), WernerChannel(phi)
         assert fidelity_general(rho, channel, optimal_strategy()) == pytest.approx(pauli, abs=1e-15)
         assert fidelity_general(rho, channel, sigma_x_composed) == pytest.approx(flipped, abs=1e-15)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rank=st.integers(min_value=1, max_value=4),
+        phi=st.floats(-1.0, 1.0),
+    )
+    def test_optimal_domain_on_any_input_and_haar_random_corrections(self, seed, rank, phi):
+        # For f >= 0 the Pauli corrections maximise F over every strategy; for
+        # f < 0 they minimise its f-term, so composing them with sigma_x never loses.
+        gen = np.random.default_rng(seed)
+        rho, channel = ginibre_state(gen, rank), WernerChannel(phi)
+        haar = BobStrategy(tuple(random_local_unitary(gen) for _ in range(4)))
+        sigma_x_composed = BobStrategy(tuple(u @ SIGMA_X for u in BOB_CORRECTIONS))
+        optimal = fidelity_general(rho, channel, optimal_strategy())
+        if phi >= -0.5:
+            for strategy in (haar, sigma_x_composed):
+                assert fidelity_general(rho, channel, strategy) <= optimal + STRATEGY_ROUNDOFF
+        else:
+            assert fidelity_general(rho, channel, sigma_x_composed) >= optimal - STRATEGY_ROUNDOFF
 
     def test_decreasing_in_initial_entanglement(self):
         for ew in (0.0, 0.5):
