@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import _nonnegative, _partial_trace, _purities, _single, check_density_matrix
+from .matkernel import (
+    _as_real,
+    _nonnegative,
+    _partial_trace,
+    _purities,
+    _single,
+    check_density_matrix,
+)
 
 #: |correlation| below this is clamped to zero (roundoff on product states).
 CORRELATION_CLAMP = 1e-12
@@ -50,14 +57,14 @@ def observable_information(probs, k: int) -> float:
     Parameters
     ----------
     probs : sequence of float
-        Outcome probabilities; must be finite, nonnegative, sum to 1 within
-        ``PROBABILITY_SUM_ATOL`` and have length ``2**k``.
+        Outcome probabilities; must be real numbers, finite, nonnegative,
+        sum to 1 within ``PROBABILITY_SUM_ATOL`` and have length ``2**k``.
     k : int
         Number of bits the system can carry.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    p = np.asarray(probs, dtype=float)
+    p = _as_real("probs", probs)
     # Compare bit lengths first, so a huge k is rejected without computing 2**k.
     if p.ndim != 1 or p.size.bit_length() != k + 1 or p.size != 2**k:
         raise ValueError(f"expected 2**{k} probabilities for k={k}, got shape {p.shape}")

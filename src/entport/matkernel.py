@@ -15,7 +15,8 @@ cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and
 already validated and check nothing; ``partial_trace``,
 ``partial_transpose`` and ``purity`` validate, then call them.
 ``_single`` is the gate of the entry points that take one matrix and not a
-stack, and ``_check_count`` the gate of every integer count or index.
+stack, ``_check_count`` the gate of every integer count or index, and
+``_as_real`` the one test of what real numbers are.
 ``_reject`` is the one way a stack item is rejected: every check of a
 stack, here and in the other modules, hands it the items that fail, and it
 raises the :class:`StackItemError` that names the first of them.
@@ -79,15 +80,32 @@ def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
     ``m`` may also be a stack of shape ``(..., d, d)``, which is validated as
     a whole; an error then names the first bad item.  Returns the input as
     a complex ``ndarray`` (a view when possible).  Raises ``ValueError`` for
-    non-square shapes, unsupported dimensions or non-finite entries.
+    entries that are not numbers (a string or object dtype), non-square
+    shapes, unsupported dimensions or non-finite entries.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"matrix entries must be numbers, got dtype {a.dtype}")
+    a = a.astype(complex, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape[-1] not in dims:
         raise ValueError(f"dimension {a.shape[-1]} not supported (allowed: {dims})")
     _reject(~np.isfinite(a).all(axis=(-2, -1)), "matrix entries must be finite")
     return a
+
+
+def _as_real(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, if they are real numbers; the one test of what that is.
+
+    Real numbers are the bool, integer and float dtypes; any other dtype
+    (complex, string, object) is a ``ValueError``, raised before numpy would
+    drop an imaginary part or parse a string.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

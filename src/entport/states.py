@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkernel import (
+    _as_real,
     _check_count,
     _check_hermitian,
     _check_unit_trace,
@@ -76,14 +77,10 @@ def _check_unitary(u) -> np.ndarray:
 def _check_range(name: str, values, lo: float, hi: float) -> np.ndarray:
     """``values`` (a number or an array) as float64, if each is a real number in [lo, hi].
 
-    Real numbers are the bool, integer and float dtypes; any other dtype
-    (complex, string, object) is a ``ValueError``, as is NaN or a value
-    outside [lo, hi].
+    What is not real numbers (see :func:`_as_real`) is a ``ValueError``, as
+    is NaN or a value outside [lo, hi].
     """
-    array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
-    array = array.astype(float, copy=False)
+    array = _as_real(name, values)
     inside = (array >= lo) & (array <= hi)  # False for NaN
     _reject(~inside, f"{name} must lie in [{lo:g}, {hi:g}], got {{}}", array)
     return array
@@ -154,9 +151,9 @@ class HilbertSchmidtForm:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(3)
-        b = np.asarray(self.b, dtype=float).reshape(3)
-        c = np.asarray(self.c, dtype=float).reshape(3, 3)
+        a = _as_real("a", self.a).reshape(3)
+        b = _as_real("b", self.b).reshape(3)
+        c = _as_real("c", self.c).reshape(3, 3)
         for arr in (a, b, c):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("Hilbert-Schmidt coefficients must be finite")

@@ -11,12 +11,9 @@ full four-particle protocol, and closed forms for the fidelity, the
 transferred entanglement and the transferred information.  With the
 standard corrections the conditional states of all four outcomes coincide,
 and the closed forms reproduce the simulation to near machine precision
-(the test suite enforces this).  The simulation has two engines, each
-docstring giving its steps: :func:`simulate` runs the dense
-:func:`_protocol`, which serves any strategy and is the reference, on one
-input, and :func:`simulate_grid` runs :func:`_pauli_protocol`, the same
-computation entry by entry for the optimal strategy, on many points, with
-the same bits.
+(the test suite enforces this).  The simulation is one engine,
+:func:`_protocol`, which serves any strategy: :func:`simulate` runs it on
+one input and :func:`simulate_grid` on many points.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from .matkernel import STACK_BLOCK, _kron, _nonnegative, _single, adjoint, check
 from .states import (
     BOB_CORRECTIONS,
     ID2,
+    _BELL_PROJECTORS,
     HilbertSchmidtForm,
     WernerChannel,
     _check_number,
@@ -45,17 +43,17 @@ from .states import (
 )
 
 #: Points per block of :func:`simulate_grid`.  A point holds a 16x16
-#: ``rho12 (x) w34`` and 512 gathered entries, 16 to 32 times the entries of
-#: a 4x4 matrix, so a block holds about as much as a ``STACK_BLOCK`` of 4x4
-#: matrices.  Measured with :func:`_pauli_protocol` on 400 random points in
-#: a fresh process on a shared 2-CPU host, peak resident memory above one
-#: point per block (36.1 MiB): +0.0 MiB at 8 points per block, +0.6 MiB at
-#: 32, +3.4 MiB at 128 and +8.4 MiB for all 400 at once.
-#: :func:`simulate_grid` took 22 ms for the 400 points at 8 points per
-#: block, 17 ms at 32, 11 ms at 128 and 12 ms at 400, and 122 ms at one
+#: ``rho12 (x) w34`` and (4, 8, 8) outcome blocks of 256 entries, 16 times
+#: the entries of a 4x4 matrix, so a block holds about as much as a
+#: ``STACK_BLOCK`` of 4x4 matrices.  Measured with :func:`_protocol` on 400
+#: random points in a fresh process on a shared 2-CPU host, peak resident
+#: memory above one point per block (36.3 MiB): +0.0 MiB at 8 points per
+#: block, +0.6 MiB at 32, +1.8 MiB at 128 and +4.8 MiB for all 400 at once.
+#: :func:`simulate_grid` took 15 ms for the 400 points at 8 points per
+#: block, 10 ms at 32, 10 ms at 128 and 9 ms at 400, and 120 ms at one
 #: point per block (each the middle of three processes' medians of 14).
-#: Blocks of 128 would save about 6 ms per 400 points for 2.8 MiB more peak
-#: memory.
+#: Blocks of 128 would save under 1 ms per 400 points for 1.2 MiB more
+#: peak memory.
 PROTOCOL_BLOCK = STACK_BLOCK // 16
 
 #: Roundoff by which a final entanglement may exceed the channel entanglement.
@@ -145,7 +143,7 @@ class GridReport:
 
 
 class _Protocol(NamedTuple):
-    """An engine's arrays for a stack of n inputs."""
+    """:func:`_protocol`'s arrays for a stack of n inputs."""
 
     probabilities: np.ndarray  # (n, 4)
     final_states: np.ndarray  # (n, 4, 4, 4)
@@ -153,32 +151,47 @@ class _Protocol(NamedTuple):
     averaged_fidelity: np.ndarray  # (n,)
 
 
+#: For each Bell outcome, the 8 indices (a, b, c, d) of particles (1, 2, 3, 4),
+#: ascending, with (b, c) in the support of its projector: the only rows and
+#: columns where ``1 (x) P_alpha (x) U`` is nonzero, whatever the unitary U.
+_SUPPORT = _read_only(
+    np.array([np.flatnonzero(np.kron(np.kron(ID2, p), ID2).diagonal()) for p in _BELL_PROJECTORS])
+)
+
+
 def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrategy) -> _Protocol:
     """The brute-force protocol on ``(n, 4, 4)`` stacks of inputs and channel states.
 
-    Builds ``rho12 (x) w34`` as an ``(n, 16, 16)`` stack, applies the four
-    operators of ``strategy`` in one broadcast ``op @ big @ op^dagger``,
-    reads each outcome probability off the trace and traces out particles
-    (2, 3) with one einsum.  Each outcome's state is divided by its
-    probability and weighted with it, with no floor: the Werner channel's
-    reduced state on particle 3 is maximally mixed (Lee & Kim, PRL 84, 4236,
-    2000), so every outcome has probability exactly 1/4, whatever the input
-    and the corrections, and none is dropped.  The weighted sums add the
-    outcomes in order (``sum``).  Every step gives each item of the stack bit
-    for bit what it gives one input alone.  The inputs are not validated here.
+    Each outcome's ``op @ (rho12 (x) w34) @ op^dagger`` is formed on the
+    8x8 block of ``_SUPPORT``, whose rows and columns are (a, s, d) with s
+    the support pair (b, c); each probability is its trace, and the trace
+    over particles (2, 3) adds its two terms s = 0, 1.  Every outcome has
+    probability exactly 1/4, whatever the input and the corrections (the
+    Werner channel's state on particle 3 is maximally mixed: Lee & Kim,
+    PRL 84, 4236, 2000), so none is dropped.  The result is the dense
+    16x16 computation bit for bit, sign of zero included:
+
+    - the dropped rows and columns of ``op`` are zero, so they add only exact zeros;
+    - with the Pauli corrections each row of ``op`` holds two entries of
+      +-1/2 or +-i/2, so every kept entry is one rounding of two exact products;
+    - every matmul accumulator starts from +0, and each probability sums a
+      zero-filled 16-entry diagonal in the order ``trace`` adds it.
+
+    For other corrections the test suite checks the same bits on Haar-random
+    ones.  Each item of the stack comes out as it would alone.  The inputs
+    are not validated here.
     """
-    big = _kron(rho12, channel_states)[..., None, :, :]  # particle order (1, 2, 3, 4)
-    ops = strategy.operators
-    conditioned = ops @ big @ adjoint(ops)
-    p = conditioned.trace(axis1=-2, axis2=-1).real
+    n = len(rho12)
+    rows, columns = _SUPPORT[:, :, None], _SUPPORT[:, None, :]
+    ops = strategy.operators[np.arange(4)[:, None, None], rows, columns]
+    big = _kron(rho12, channel_states)[:, rows, columns]  # particle order (1, 2, 3, 4)
+    conditioned = ops @ big @ adjoint(ops)  # (n, 4, 8, 8)
+    diagonal = np.zeros((n, 4, 16), dtype=complex)
+    diagonal[:, np.arange(4)[:, None], _SUPPORT] = conditioned.diagonal(axis1=-2, axis2=-1)
+    p = diagonal.sum(axis=-1).real
     conditioned /= p[..., None, None]
-    t = conditioned.reshape(*conditioned.shape[:-2], *[2] * 8)
-    final_states = np.einsum("...abcdebcf->...adef", t).reshape(*conditioned.shape[:-2], 4, 4)
-    return _averaged(rho12, p, final_states)
-
-
-def _averaged(rho12: np.ndarray, p: np.ndarray, final_states: np.ndarray) -> _Protocol:
-    """The engines' common last step: weigh the ``(n, 4)`` outcomes into averages."""
+    t = conditioned.reshape(n, 4, 2, 2, 2, 2, 2, 2)
+    final_states = (t[:, :, :, 0, :, :, 0] + t[:, :, :, 1, :, :, 1]).reshape(n, 4, 4, 4)
     weight = sum(p[:, k] for k in range(4))
     averaged = sum(p[:, k, None, None] * final_states[:, k] for k in range(4))
     averaged = averaged / weight[:, None, None]
@@ -186,88 +199,6 @@ def _averaged(rho12: np.ndarray, p: np.ndarray, final_states: np.ndarray) -> _Pr
     overlaps = (rho12[:, None] @ final_states).trace(axis1=-2, axis2=-1).real
     fidelity = sum(p[:, k] * overlaps[:, k] for k in range(4))
     return _Protocol(p, final_states, averaged, fidelity)
-
-
-def _entry_tables(operators: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Where :func:`_pauli_protocol` reads, for a ``(4, 16, 16)`` stack of operators.
-
-    The engine forms 32 entries ``q = (s, a, d, e, f)`` per outcome: entry
-    ``q`` is ``C[i, j]`` of ``C = op @ big @ op^dagger`` at ``i = (a, b, c,
-    d)`` and ``j = (e, b, c, f)``, where ``(b, c)`` is the ``s``-th pair on
-    which ``op`` has nonzero rows.  With ``l_u`` and ``k_t`` the two nonzero
-    columns of rows ``i`` and ``j``, the tables are: the flat index of
-    ``big[l_u, k_t]`` as ``(u, t, 4, 32)``; ``op[i, l_u]`` as ``(u, 1, 4,
-    32)``; ``conj(op[j, k_t])`` as ``(t, 4, 32)``; the flat ``(alpha, q)`` of
-    the entries with ``i == j``; and the flat ``(alpha, i)`` of each of them
-    on the ``(4, 16)`` diagonals.
-
-    Raises ``ValueError`` unless every row of every operator is zero or
-    holds two entries of +-1/2 or +-i/2, and the nonzero rows of each are
-    those of ``1 (x) P (x) U`` with ``P`` supported on two (b, c) pairs.
-    """
-    nonzero = operators != 0
-    counts = nonzero.sum(axis=-1).reshape(4, 2, 4, 2)  # (alpha, a, (b, c), d)
-    pairs = counts[:, 0, :, 0] == 2
-    if not (
-        (counts == 2 * pairs[:, None, :, None]).all()
-        and (pairs.sum(axis=-1) == 2).all()
-        and (operators[nonzero][:, None] == [0.5, -0.5, 0.5j, -0.5j]).any(axis=-1).all()
-    ):
-        raise ValueError("operators must have the rows of 1 (x) P (x) U with Pauli corrections")
-    columns = np.argsort(~nonzero, axis=-1, kind="stable")[..., :2]
-    entries = np.take_along_axis(operators, columns, axis=-1)
-    alpha = np.arange(4)[:, None]
-    s, a, d, e, f = np.indices((2,) * 5).reshape(5, 1, 32)
-    bc = np.flatnonzero(pairs).reshape(4, 2)[alpha, s] % 4
-    i, j = 8 * a + 2 * bc + d, 8 * e + 2 * bc + f
-    l, k = (np.moveaxis(columns[alpha, rows], -1, 0) for rows in (i, j))  # (u | t, 4, 32)
-    return (
-        16 * l[:, None] + k,
-        np.moveaxis(entries[alpha, i], -1, 0)[:, None],
-        np.moveaxis(entries[alpha, j], -1, 0).conj(),
-        np.flatnonzero(i == j),
-        (16 * alpha + i)[i == j],
-    )
-
-
-_BIG, _OP, _ADJOINT, _DIAGONAL, _TRACE = map(_read_only, _entry_tables(_OPTIMAL_STRATEGY.operators))
-
-
-def _pauli_protocol(rho12: np.ndarray, channel_states: np.ndarray) -> _Protocol:
-    """:func:`_protocol` with the optimal strategy, entry by entry, bit for bit.
-
-    It forms only the 32 entries per outcome of ``C = op @ big @ op^dagger``
-    that the trace over particles (2, 3) reads as nonzero, through the tables
-    of :func:`_entry_tables`, and gives the same bits, sign of zero included:
-
-    - each row of ``op`` is zero or holds two entries of +-1/2 or +-i/2, so
-      each entry of ``op @ big`` and of ``(op @ big) @ op^dagger`` sums two
-      exact products (scalings by 1/2) and zeros: it is one rounding of the
-      sum of the two, whatever order the dense matrix product adds in;
-    - each entry of ``C`` starts from ``0 +``, as the matrix product's
-      accumulator does, so an exact zero is +0, never -0; the sign of a zero
-      in ``op @ big`` reaches only that sum, so it needs no ``0 +``;
-    - each probability is the numpy sum of a C-contiguous 16-entry diagonal
-      with its zeros in place, which adds in the order ``trace`` does (a
-      sum over a non-contiguous diagonal adds in another order);
-    - ``big`` comes from the same :func:`_kron`, the division by ``p`` is the
-      same complex-by-real broadcast, the trace adds the two nonzero terms
-      of its four, and :func:`_averaged` is shared.
-
-    It is still the brute-force four-particle computation, not a channel
-    map.  The inputs are not validated here.
-    """
-    n = len(rho12)
-    terms = _OP * _kron(rho12, channel_states).reshape(n, 256)[:, _BIG]
-    products = terms[:, 0] + terms[:, 1]  # (n, t, 4, 32): (op @ big)[i, k_t]
-    terms = products * _ADJOINT
-    conditioned = 0 + terms[:, 0] + terms[:, 1]  # (n, 4, 32): C[i, j]
-    diagonal = np.zeros((n, 64), dtype=complex)
-    diagonal[:, _TRACE] = conditioned.reshape(n, 128)[:, _DIAGONAL]
-    p = diagonal.reshape(n, 4, 16).sum(axis=-1).real
-    conditioned /= p[..., None]
-    pairs = conditioned.reshape(n, 4, 2, 16)
-    return _averaged(rho12, p, (pairs[:, :, 0] + pairs[:, :, 1]).reshape(n, 4, 4, 4))
 
 
 def simulate(
@@ -306,11 +237,10 @@ def simulate_grid(e0, phi) -> GridReport:
     """:func:`simulate` of ``seed_state(e0[i])`` through ``WernerChannel(phi[i])``, for each i.
 
     ``e0`` and ``phi`` are 1-D arrays of equal length, in [0, 1] and
-    [-1, 1].  The points run through :func:`_pauli_protocol` in blocks of
-    ``PROTOCOL_BLOCK``, so peak memory does not grow with the number of
-    points beyond the returned arrays; that engine gives the bits of
-    :func:`_protocol` with the optimal strategy, so each value equals the
-    matching :func:`simulate` output bit for bit.  The seed states are
+    [-1, 1].  The points run through :func:`_protocol` with the optimal
+    strategy in blocks of ``PROTOCOL_BLOCK``, so peak memory does not grow
+    with the number of points beyond the returned arrays, and each value
+    equals the matching :func:`simulate` output bit for bit.  The seed states are
     built here from the range-checked ``e0``, so they are not validated again.
     """
     e0, phi = _check_range("e0", e0, 0.0, 1.0), _check_range("phi", phi, -1.0, 1.0)
@@ -319,7 +249,7 @@ def simulate_grid(e0, phi) -> GridReport:
     out = GridReport(np.empty(len(e0)), np.empty(len(e0)), np.empty((len(e0), 4)))
     for start in range(0, len(e0), PROTOCOL_BLOCK):
         block = slice(start, start + PROTOCOL_BLOCK)
-        result = _pauli_protocol(seed_states(e0[block]), werner_states(phi[block]))
+        result = _protocol(seed_states(e0[block]), werner_states(phi[block]), _OPTIMAL_STRATEGY)
         out.averaged_fidelity[block] = result.averaged_fidelity
         out.final_entanglement[block] = _negativities(result.final_state)[0]
         out.final_information[block] = _information_decompositions(result.final_state)

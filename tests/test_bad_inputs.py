@@ -23,11 +23,19 @@ from entport.entanglement import (
     negativity,
 )
 from entport.information import information_decomposition, observable_information
-from entport.matkernel import partial_trace
+from entport.matkernel import (
+    check_density_matrix,
+    herm_eigvals,
+    partial_trace,
+    partial_transpose,
+    purity,
+    tensor,
+)
 from entport.states import (
     BELL_SIGN_MATRICES,
     BOB_CORRECTIONS,
     BellOutcome,
+    HilbertSchmidtForm,
     SeedParams,
     WernerChannel,
     bell_outcome,
@@ -207,6 +215,34 @@ def test_matrix_entry_points_reject_non_finite_entries(name, c0, row, col, bad, 
         MATRIX_ENTRY_POINTS[name](rho)
 
 
+# The matrix entry points above and the kernel's, each given one 4x4 state.
+KERNEL_ENTRY_POINTS = {
+    **MATRIX_ENTRY_POINTS,
+    "check_density_matrix": check_density_matrix,
+    "purity": purity,
+    "partial_trace": lambda rho: partial_trace(rho, 0),
+    "partial_transpose": partial_transpose,
+    "herm_eigvals": herm_eigvals,
+    "tensor": lambda rho: tensor(rho, rho),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        seed_state(0.5).real.astype(str),
+        seed_state(0.5).real.astype(str).tolist(),
+        seed_state(0.5).astype(object),
+    ],
+    ids=["str array", "str list", "object array"],
+)
+def test_matrix_entry_points_reject_what_is_not_a_number(name, bad):
+    # Rejected before numpy would parse a string or convert an object.
+    with pytest.raises(ValueError, match="^matrix entries must be numbers, got dtype "):
+        KERNEL_ENTRY_POINTS[name](bad)
+
+
 def test_negativities_names_the_non_finite_item():
     stack = np.stack([seed_state(0.5), werner_state(0.2), seed_state(0.1)])
     stack[2, 0, 3] = math.inf
@@ -264,6 +300,9 @@ ARRAY_ENTRY_POINTS = {
     "c0 seed_states": seed_states,
     "phi werner_states": werner_states,
     "c0 rotated_pure_state": lambda x: rotated_pure_state(x, BOB_CORRECTIONS[1], BOB_CORRECTIONS[2]),
+    "probs observable_information": lambda x: observable_information(x, 1),
+    "a HilbertSchmidtForm": lambda x: HilbertSchmidtForm(x, np.zeros(3), np.zeros((3, 3))),
+    "c HilbertSchmidtForm": lambda x: HilbertSchmidtForm(np.zeros(3), np.zeros(3), x),
 }
 
 
