@@ -1,13 +1,13 @@
 """Dense complex linear algebra for two-qubit simulations.
 
 Operators are plain ``numpy`` arrays of dimension 2, 4 or 16 (dimension 16
-only appears transiently, for the four-particle state before the Bell
-measurement).  ``as_operator``, ``adjoint``, ``tensor``/``_kron``,
-``partial_transpose``, ``herm_eigvals``, ``check_density_matrix`` and the
-unchecked cores also take stacks of shape ``(..., d, d)``: they act on every
-matrix of the stack at once, and each item comes out bit for bit as it would
-alone.  All functions are pure, never mutate their arguments and are safe to
-call concurrently.
+appears only in ``tensor`` of two 4x4 operators and in the operators
+``1 (x) P_alpha (x) U_alpha`` of ``teleport.BobStrategy``).  ``as_operator``,
+``adjoint``, ``tensor``/``_kron``, ``partial_transpose``, ``herm_eigvals``,
+``check_density_matrix`` and the unchecked cores also take stacks of shape
+``(..., d, d)``: they act on every matrix of the stack at once, and each item
+comes out bit for bit as it would alone.  All functions are pure, never
+mutate their arguments and are safe to call concurrently.
 
 Input is validated once, at the public entry points.  The four unchecked
 cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and

@@ -255,7 +255,7 @@ def hs_compose_stack(a, b, c) -> np.ndarray:
     ``_HS_BASIS``: the bit reference of :func:`seed_states` and
     :func:`werner_states`.
     """
-    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    a, b, c = (_as_real(name, x) for name, x in zip("abc", (a, b, c)))
     coefficients = np.concatenate([a[..., None], b[..., None], c], axis=-1)
     coefficients = coefficients.reshape(*c.shape[:-2], 15, 1, 1)
     rho = np.eye(4, dtype=complex)
@@ -462,6 +462,6 @@ def _draw_bloch(gen: np.random.Generator) -> np.ndarray:
 
 def qubit_states(r) -> np.ndarray:
     """Qubit states ``(1 + r.sigma) / 2`` of a ``(..., 3)`` stack of Bloch vectors."""
-    r = np.asarray(r, dtype=float)[..., None, None]
+    r = _as_real("r", r)[..., None, None]
     x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
     return (ID2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .entanglement import _negativities
 from .information import InformationReport, _information_decompositions
-from .matkernel import STACK_BLOCK, _kron, _nonnegative, _single, adjoint, check_density_matrix
+from .matkernel import STACK_BLOCK, _nonnegative, _single, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
@@ -42,18 +42,18 @@ from .states import (
     werner_states,
 )
 
-#: Points per block of :func:`simulate_grid`.  A point holds a 16x16
-#: ``rho12 (x) w34`` and (4, 8, 8) outcome blocks of 256 entries, 16 times
-#: the entries of a 4x4 matrix, so a block holds about as much as a
-#: ``STACK_BLOCK`` of 4x4 matrices.  Measured with :func:`_protocol` on 400
-#: random points in a fresh process on a shared 2-CPU host, peak resident
-#: memory above one point per block (36.3 MiB): +0.0 MiB at 8 points per
-#: block, +0.6 MiB at 32, +1.8 MiB at 128 and +4.8 MiB for all 400 at once.
-#: :func:`simulate_grid` took 15 ms for the 400 points at 8 points per
-#: block, 10 ms at 32, 10 ms at 128 and 9 ms at 400, and 120 ms at one
-#: point per block (each the middle of three processes' medians of 14).
-#: Blocks of 128 would save under 1 ms per 400 points for 1.2 MiB more
-#: peak memory.
+#: Points per block of :func:`simulate_grid`.  A point holds (4, 8, 8)
+#: outcome blocks of 256 entries, 16 times the entries of a 4x4 matrix, so a
+#: block holds about as much as a ``STACK_BLOCK`` of 4x4 matrices.  Measured
+#: with :func:`_protocol` on 400 random points in a fresh process on a shared
+#: 2-CPU host, peak resident memory above one point per block (35.8 MiB):
+#: +0.1 MiB at 8 points per block, +0.3 MiB at 32, +1.7 MiB at 128 and
+#: +4.8 MiB for all 400 at once.  :func:`simulate_grid` took 24 ms for the 400
+#: points at 8 points per block, 12 ms at 32, 12 ms at 128 and 11 ms at 400,
+#: and about 150 ms at one point per block (each the median of five
+#: processes' medians of 14).  After one warm-up call it made no minor page
+#: fault at 8 or 32 points per block, and about 1,000 per call at 128 and at
+#: 400.  Larger blocks save no time for more peak memory.
 PROTOCOL_BLOCK = STACK_BLOCK // 16
 
 #: Roundoff by which a final entanglement may exceed the channel entanglement.
@@ -164,31 +164,36 @@ def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrate
 
     Each outcome's ``op @ (rho12 (x) w34) @ op^dagger`` is formed on the
     8x8 block of ``_SUPPORT``, whose rows and columns are (a, s, d) with s
-    the support pair (b, c); each probability is its trace, and the trace
-    over particles (2, 3) adds its two terms s = 0, 1.  Every outcome has
-    probability exactly 1/4, whatever the input and the corrections (the
+    the support pair (b, c).  Index (a, b, c, d) is ``4 (a, b) + (c, d)``,
+    so the block of ``rho12 (x) w34`` is read straight from the entries of
+    ``rho12`` and ``w34``.  Each probability is the block's trace, and the
+    trace over particles (2, 3) adds its two terms s = 0, 1.  Every outcome
+    has probability exactly 1/4, whatever the input and the corrections (the
     Werner channel's state on particle 3 is maximally mixed: Lee & Kim,
-    PRL 84, 4236, 2000), so none is dropped.  The result is the dense
-    16x16 computation bit for bit, sign of zero included:
+    PRL 84, 4236, 2000), so none is dropped.  The result is the dense 16x16
+    computation bit for bit, sign of zero included:
 
+    - each block entry is the same one product of two numbers as in ``np.kron``;
     - the dropped rows and columns of ``op`` are zero, so they add only exact zeros;
     - with the Pauli corrections each row of ``op`` holds two entries of
       +-1/2 or +-i/2, so every kept entry is one rounding of two exact products;
-    - every matmul accumulator starts from +0, and each probability sums a
-      zero-filled 16-entry diagonal in the order ``trace`` adds it.
+    - every matmul accumulator starts from +0;
+    - numpy's pairwise sum splits the dense 16-entry diagonal into four
+      groups by index mod 4, each of two support entries and two exact
+      zeros, and the 8-entry trace adds the same pairs.  Only the order of
+      the last two partial sums can differ, and IEEE addition is commutative.
 
     For other corrections the test suite checks the same bits on Haar-random
-    ones.  Each item of the stack comes out as it would alone.  The inputs
+    ones; ``tests/test_entry_engine.py`` guards all of this on the numpy in
+    use.  Each item of the stack comes out as it would alone.  The inputs
     are not validated here.
     """
     n = len(rho12)
     rows, columns = _SUPPORT[:, :, None], _SUPPORT[:, None, :]
     ops = strategy.operators[np.arange(4)[:, None, None], rows, columns]
-    big = _kron(rho12, channel_states)[:, rows, columns]  # particle order (1, 2, 3, 4)
+    big = rho12[:, rows // 4, columns // 4] * channel_states[:, rows % 4, columns % 4]
     conditioned = ops @ big @ adjoint(ops)  # (n, 4, 8, 8)
-    diagonal = np.zeros((n, 4, 16), dtype=complex)
-    diagonal[:, np.arange(4)[:, None], _SUPPORT] = conditioned.diagonal(axis1=-2, axis2=-1)
-    p = diagonal.sum(axis=-1).real
+    p = conditioned.trace(axis1=-2, axis2=-1).real
     conditioned /= p[..., None, None]
     t = conditioned.reshape(n, 4, 2, 2, 2, 2, 2, 2)
     final_states = (t[:, :, :, 0, :, :, 0] + t[:, :, :, 1, :, :, 1]).reshape(n, 4, 4, 4)

@@ -40,7 +40,9 @@ from entport.states import (
     WernerChannel,
     bell_outcome,
     bell_projector,
+    hs_compose_stack,
     hs_decompose,
+    qubit_states,
     random_local_unitary,
     random_product_state,
     rotated_pure_state,
@@ -303,6 +305,8 @@ ARRAY_ENTRY_POINTS = {
     "probs observable_information": lambda x: observable_information(x, 1),
     "a HilbertSchmidtForm": lambda x: HilbertSchmidtForm(x, np.zeros(3), np.zeros((3, 3))),
     "c HilbertSchmidtForm": lambda x: HilbertSchmidtForm(np.zeros(3), np.zeros(3), x),
+    "r qubit_states": qubit_states,
+    "a hs_compose_stack": lambda x: hs_compose_stack(x, np.zeros(3), np.zeros((3, 3))),
 }
 
 
