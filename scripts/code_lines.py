@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the total and the code lines of each ``src/entport`` module and of ``src/``.
+"""Print the total and the code lines of each ``src/entport`` module, of ``src/`` and of ``tests/``.
 
 Code lines are the lines left after docstrings, comments and blank lines are
 taken out.  Docstrings are found with ``ast`` (the first statement of a
@@ -13,7 +13,9 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -51,6 +53,8 @@ def main() -> int:
         total, code = total + t, code + c
         print(f"{path.relative_to(SRC).as_posix():<28} {t:>6} {c:>6}")
     print(f"{'src/':<28} {total:>6} {code:>6}")
+    tests = [count(path) for path in sorted(TESTS.rglob("*.py"))]
+    print(f"{'tests/':<28} {sum(t for t, _ in tests):>6} {sum(c for _, c in tests):>6}")
     return 0
 
 

@@ -33,11 +33,11 @@ from .states import (
     _check_seed,
     _check_unitary,
     _draw_ball,
+    _qubit_states,
+    _su2_matrices,
     _su2_vectors,
-    qubit_states,
+    _werner_states,
     rotated_pure_state,
-    su2_matrices,
-    werner_states,
 )
 
 #: A condition counts as violated only above this (roundoff headroom).
@@ -83,9 +83,13 @@ class LgmCcFamily:
 
 
 def _completeness_residuals(v: np.ndarray) -> np.ndarray:
-    """``max |sum_i v_i^dagger v_i - 1|`` of each family in a ``(..., branches, 4, 4)`` stack."""
-    total = (adjoint(v) @ v).sum(axis=-3)
-    return np.abs(total - np.eye(4)).max(axis=(-2, -1))
+    """``max |sum_i v_i^dagger v_i - 1|`` of each family in a ``(..., branches, 4, 4)`` stack.
+
+    The sum is one product ``W^dagger W`` per family, with its branch
+    operators stacked vertically into ``W``.
+    """
+    w = v.reshape(*v.shape[:-3], -1, 4)
+    return np.abs(adjoint(w) @ w - np.eye(4)).max(axis=(-2, -1))
 
 
 @dataclass
@@ -110,9 +114,12 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
 
     numpy turns that list into the ``uint32`` array of each int's words, low
     word first; passing the array skips its per-int coercion, and the stream
-    is the same.
+    is the same.  An int below 2**32 is its own one word.
     """
-    words = [w for n in (seed, check_tag, trial) for w in _words(n)]
+    if max(seed, check_tag, trial) <= 0xFFFFFFFF:
+        words = [seed, check_tag, trial]
+    else:
+        words = [w for n in (seed, check_tag, trial) for w in _words(n)]
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
@@ -136,17 +143,23 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     product states, because each Bloch vector's radius draw sits between
     Gaussian draws (``states._draw_ball``).
 
-    Then ``violations(*columns)`` gets the block's draws column by column,
-    and no trial range.  It normalises the block's SU(2) and Bloch vectors as
-    stacks, builds the block's states, local unitaries and Kraus families as
-    stacks, validates them, evaluates every negativity with one stacked call
-    and returns the violations of its trials in trial order.  Every stack it
-    validates or evaluates is trial-first: its first axis runs over the
-    block's trials and its second, if any, over the parts of a trial (C1's
-    three states, C2's rotated and original state, C3's input and branch
-    states).  So a ``StackItemError`` it raises names the trial, and is
-    reported as ``C<tag>, seed <seed>, trial <t>: <reason>``.  Each stacked
-    result equals the trial-by-trial computation bit for bit.
+    Besides those calls, a trial computes only the tests that decide them
+    (C1's zero test of each Bloch vector, the mixed-state choice of C2's and
+    C3's trial states), C3's side bit, and the cube root of each Bloch
+    radius, which numpy's ``power`` rounds differently from Python's ``**``.
+    Everything else runs per block: ``violations(*columns)`` gets the
+    block's draws column by column, and no trial range.  It splits C3's raw
+    Gaussians into Kraus and SU(2) arrays, normalises C1's mixture weights
+    and the block's SU(2) and Bloch vectors as stacks, builds the block's
+    states, local unitaries and Kraus families as stacks, validates them,
+    evaluates every negativity with one stacked call and returns the
+    violations of its trials in trial order.  Every stack it validates or
+    evaluates is trial-first: its first axis runs over the block's trials
+    and its second, if any, over the parts of a trial (C1's three states,
+    C2's rotated and original state, C3's input and branch states).  So a
+    ``StackItemError`` it raises names the trial, and is reported as
+    ``C<tag>, seed <seed>, trial <t>: <reason>``.  Each stacked result
+    equals the trial-by-trial computation bit for bit.
 
     The fold is a running maximum in trial order.  It starts at 0.0, which
     is the clamp: a run whose violations are all negative reports 0.0.
@@ -169,13 +182,23 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
 def _draw_lgm_cc(gen: np.random.Generator, branches: int) -> tuple:
     """The draws behind one :func:`sample_lgm_cc` family, in generator order.
 
-    A complex Gaussian ``(2 * branches, 2)`` matrix for the Kraus set (its
-    real parts, then its imaginary parts), the raw ``(branches, 4)``
-    Gaussians of one SU(2) vector per branch for the conditional unitaries,
-    all from one call, and whether the measuring side comes first.
+    The ``12 * branches`` raw Gaussians of one call (see :func:`_lgm_cc_arrays`)
+    and whether the measuring side comes first.
     """
-    re, im, z = gen.standard_normal(12 * branches).reshape(3, -1)
-    return (re + 1j * im).reshape(-1, 2), z.reshape(-1, 4), gen.random() < 0.5
+    return gen.standard_normal(12 * branches), gen.random() < 0.5
+
+
+def _lgm_cc_arrays(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus and SU(2) draws of a ``(..., 12 * branches)`` stack of raw Gaussians.
+
+    The first third are the real parts and the second the imaginary parts of
+    a complex Gaussian ``(..., 2 * branches, 2)`` matrix for the Kraus set;
+    the last third are the raw ``(..., branches, 4)`` Gaussians of one SU(2)
+    vector per branch, for the conditional unitaries.
+    """
+    re, im, z = np.split(raw, 3, axis=-1)
+    lead = raw.shape[:-1]
+    return (re + 1j * im).reshape(*lead, -1, 2), z.reshape(*lead, -1, 4)
 
 
 def _lgm_cc_operators(g, z, measuring_first) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +211,7 @@ def _lgm_cc_operators(g, z, measuring_first) -> tuple[np.ndarray, np.ndarray]:
     """
     q, _ = np.linalg.qr(g)
     kraus = q.reshape(*q.shape[:-2], -1, 2, 2)
-    unitaries = _check_unitary(su2_matrices(_su2_vectors(z)))
+    unitaries = _check_unitary(_su2_matrices(_su2_vectors(z)))
     first = np.asarray(measuring_first)[..., None, None, None]
     return np.where(first, kraus, unitaries), np.where(first, unitaries, kraus)
 
@@ -206,7 +229,8 @@ def sample_lgm_cc(rng, branches: int) -> LgmCcFamily:
     is deterministic for a given seed.
     """
     branches = _check_count("branches", branches, 1, MAX_BRANCHES)
-    a, b = _lgm_cc_operators(*_draw_lgm_cc(_as_generator(rng), branches))
+    raw, measuring_first = _draw_lgm_cc(_as_generator(rng), branches)
+    a, b = _lgm_cc_operators(*_lgm_cc_arrays(raw), measuring_first)
     return LgmCcFamily(operators=list(zip(a, b)))
 
 
@@ -215,7 +239,7 @@ def _su2_pairs(z) -> np.ndarray:
 
     They come as one ``(2, n, 2, 2)`` array, so ``*_su2_pairs(z)`` unpacks them.
     """
-    return su2_matrices(_su2_vectors(np.reshape(z, (-1, 2, 4)))).swapaxes(0, 1)
+    return _su2_matrices(_su2_vectors(np.reshape(z, (-1, 2, 4)))).swapaxes(0, 1)
 
 
 def _draw_test_state(gen: np.random.Generator) -> tuple:
@@ -235,7 +259,7 @@ def _test_states(draws: list[tuple]) -> np.ndarray:
     c0, z, mixed, lam, phi = (np.array(column) for column in zip(*draws))
     pure = rotated_pure_state(c0, *_su2_pairs(z))
     lam = lam[:, None, None]
-    mixture = lam * pure + (1.0 - lam) * werner_states(phi)
+    mixture = lam * pure + (1.0 - lam) * _werner_states(phi)
     return np.where(mixed[:, None, None], mixture, pure)
 
 
@@ -243,40 +267,61 @@ def _product_states(balls) -> np.ndarray:
     """Stack of ``rho_a (x) rho_b`` from consecutive pairs of :func:`_draw_ball` draws."""
     r, radius = (np.array(column) for column in zip(*balls))
     bloch = _bloch_vectors(r, radius).reshape(-1, 2, 3)
-    return _kron(qubit_states(bloch[:, 0]), qubit_states(bloch[:, 1]))
+    return _kron(_qubit_states(bloch[:, 0]), _qubit_states(bloch[:, 1]))
 
 
-def _mixtures(weights: list[np.ndarray], components: np.ndarray) -> np.ndarray:
-    """Stack of the mixtures ``sum_k w[k] * s_k``, one per weight vector, of consecutive components.
-
-    Each sum starts as ``0 + w[0] * s_0`` and adds its further terms in order;
-    a mixture with fewer terms keeps its sum.  These are the operations of
-    Python's ``sum`` over the terms, so the bits, signed zeros too, are the same.
-    """
+def _weight_rows(weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 4)`` zero-padded rows of ``n`` weight vectors of 2 to 4 terms,
+    and each vector's number of terms."""
     terms = np.array([len(w) for w in weights])
+    rows = np.zeros((len(weights), 4))
+    rows[np.arange(4) < terms[:, None]] = np.concatenate(weights)
+    return rows, terms
+
+
+def _normalised(rows: np.ndarray) -> np.ndarray:
+    """Each row of :func:`_weight_rows` divided by its sum.
+
+    A row sums in order with its zeros last, so its sum has the bits of the
+    vector's ``w.sum()`` and each weight the bits of ``w / w.sum()``
+    (``np.add.reduceat`` does not give them).
+    """
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def _mixtures(w: np.ndarray, terms: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """Stack of the mixtures ``sum_k w[i, k] * s_k``, one per row of :func:`_weight_rows`,
+    of the row's ``terms[i]`` consecutive components.
+
+    Each sum starts as ``0 + w[i, 0] * s_0`` and adds its further terms in
+    order; a mixture with fewer terms keeps its sum.  These are the
+    operations of Python's ``sum`` over the terms, so the bits, signed zeros
+    too, are the same.
+    """
     first = np.cumsum(terms) - terms
-    w = np.concatenate(weights)[:, None, None]
-    mixed = 0 + w[first] * components[first]
+    w = w[..., None, None]
+    mixed = 0 + w[:, 0] * components[first]
     for k in range(1, terms.max()):
         has = terms > k
         at = np.where(has, first + k, first)
-        mixed = np.where(has[:, None, None], mixed + w[at] * components[at], mixed)
+        mixed = np.where(has[:, None, None], mixed + w[:, k] * components[at], mixed)
     return mixed
 
 
 def _draw_c1(gen: np.random.Generator) -> tuple:
-    """Draws of one C1 trial: two product-state balls, the mixture weights and
-    the balls of its product states, and the ``(c0, z)`` of a rotated seed state."""
+    """Draws of one C1 trial: two product-state balls, the raw mixture weights
+    and the balls of its product states, and the ``(c0, z)`` of a rotated seed state."""
     product = [_draw_ball(gen), _draw_ball(gen)]
     w = gen.random(int(gen.integers(2, 5)))
     parts = [_draw_ball(gen) for _ in range(2 * len(w))]
-    return product, w / w.sum(), parts, gen.random(), gen.standard_normal(8)
+    return product, w, parts, gen.random(), gen.standard_normal(8)
 
 
 def _c1_violations(products, weights, parts, c0, z) -> np.ndarray:
     """Per trial: the product state's and the mixture's measure, and ``|N - c0|``."""
     separable = _product_states([*chain(*products, *parts)])
-    mixed = _mixtures(weights, separable[len(c0) :])
+    rows, terms = _weight_rows(weights)
+    mixed = _mixtures(_normalised(rows), terms, separable[len(c0) :])
     pure = rotated_pure_state(c0, *_su2_pairs(z))
     states = np.stack([separable[: len(c0)], mixed, pure], axis=1)  # (trials, 3, 4, 4)
     product, mixture, rotated = negativities(states).T
@@ -330,8 +375,8 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     def violations(states, families):
         nonlocal skipped
         rho = _test_states(states)[:, None]
-        g, z, measuring_first = (np.array(column) for column in zip(*families))
-        v = _kron(*_lgm_cc_operators(g, z, measuring_first))
+        raw, measuring_first = (np.array(column) for column in zip(*families))
+        v = _kron(*_lgm_cc_operators(*_lgm_cc_arrays(raw), measuring_first))
         incomplete = ~(_completeness_residuals(v) <= COMPLETENESS_ATOL)  # NaN too
         _reject(incomplete, "operator family does not satisfy completeness")
         mapped = v @ rho @ adjoint(v)

@@ -30,7 +30,7 @@ import numpy as np
 from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3
 from .entanglement import _negativities, entropy_vs_negativity_curve
 from .matkernel import STACK_BLOCK, _check_count, _herm_eigvals, _partial_transpose
-from .states import _check_range, _werner_ew, werner_states
+from .states import _check_range, _werner_ew, _werner_states
 from .teleport import _correlation_info, _entanglement, _fidelity, _information, simulate_grid
 
 #: The largest closed-vs-simulated gap may reach this, in sweep and verify alike.
@@ -257,7 +257,7 @@ def _fixture_violations() -> dict[str, np.ndarray]:
     """
     f = np.array([-1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])[:, None]
     phi = (3.0 * f[:, 0] - 1.0) / 2.0
-    states = werner_states(phi)
+    states = _werner_states(phi)
     expected = np.sort(np.hstack([np.repeat((1 - f) / 4, 3, axis=1), (1 + 3 * f) / 4]))
     expected_pt = np.sort(np.hstack([np.repeat((1 + f) / 4, 3, axis=1), (1 - 3 * f) / 4]))
     ew, e0 = np.meshgrid([0.25, 0.5, 0.75, 1.0], DEFAULT_E0_GRID, indexing="ij")

@@ -26,7 +26,7 @@ from .matkernel import (
     _single,
     check_density_matrix,
 )
-from .states import seed_states
+from .states import _seed_states
 
 #: Partial-transpose eigenvalues above this are treated as non-negative,
 #: so roundoff on exactly separable states cannot fake entanglement.
@@ -142,7 +142,7 @@ def _seed_entropies(e: np.ndarray) -> np.ndarray:
     out = np.empty(len(e))
     for start in range(0, len(e), STACK_BLOCK):
         block = slice(start, start + STACK_BLOCK)
-        out[block] = _pure_entropies(seed_states(e[block]))
+        out[block] = _pure_entropies(_seed_states(e[block]))
     return out
 
 

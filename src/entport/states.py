@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkernel import (
+    PSD_ATOL,
     _as_real,
     _check_count,
     _check_hermitian,
@@ -24,7 +25,6 @@ from .matkernel import (
     _single,
     adjoint,
     as_operator,
-    tensor,
 )
 
 
@@ -67,9 +67,14 @@ ROTATION_ATOL = 1e-12
 
 
 def _check_unitary(u) -> np.ndarray:
-    """Validate a qubit unitary, or every item of a ``(..., 2, 2)`` stack."""
+    """Validate a qubit unitary, or every item of a ``(..., 2, 2)`` stack.
+
+    The Gram matrix ``u u^dagger`` is one elementwise product over the stack,
+    ``sum_k u[i, k] conj(u[j, k])``, not one matrix product per item.
+    """
     u = as_operator(u, dims=(2,))
-    deviation = np.abs(u @ adjoint(u) - ID2).max(axis=(-2, -1))
+    gram = (u[..., :, None, :] * u[..., None, :, :].conj()).sum(axis=-1)
+    deviation = np.abs(gram - ID2).max(axis=(-2, -1))
     _reject(deviation > UNITARITY_ATOL, "matrix is not unitary within tolerance")
     return u
 
@@ -253,9 +258,17 @@ def hs_compose_stack(a, b, c) -> np.ndarray:
     + sum_nm c[n,m] sigma_n (x) sigma_m]``, the term-by-term sum of
     ``coefficient * basis matrix`` from the identity in the basis order of
     ``_HS_BASIS``: the bit reference of :func:`seed_states` and
-    :func:`werner_states`.
+    :func:`werner_states`.  Coefficients that are not finite real numbers
+    are a ``ValueError`` naming their argument.
     """
     a, b, c = (_as_real(name, x) for name, x in zip("abc", (a, b, c)))
+    for name, x, axes in (("a", a, -1), ("b", b, -1), ("c", c, (-2, -1))):
+        _reject(~np.isfinite(x).all(axis=axes), f"{name} must be finite")
+    return _hs_compose_stack(a, b, c)
+
+
+def _hs_compose_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`hs_compose_stack` of float arrays, unchecked."""
     coefficients = np.concatenate([a[..., None], b[..., None], c], axis=-1)
     coefficients = coefficients.reshape(*c.shape[:-2], 15, 1, 1)
     rho = np.eye(4, dtype=complex)
@@ -270,7 +283,7 @@ def hs_compose(form: HilbertSchmidtForm) -> np.ndarray:
     Returns ``(1/4) [1(x)1 + a.sigma (x) 1 + 1 (x) b.sigma
     + sum_nm c[n,m] sigma_n (x) sigma_m]``; see :func:`hs_compose_stack`.
     """
-    return hs_compose_stack(form.a, form.b, form.c)
+    return _hs_compose_stack(form.a, form.b, form.c)
 
 
 def hs_decompose(rho: np.ndarray) -> HilbertSchmidtForm:
@@ -298,7 +311,11 @@ def seed_states(c0) -> np.ndarray:
     :func:`hs_compose_stack` of the state's coefficients bit for bit, sign
     of zero included.
     """
-    c0 = _check_range("c0", c0, -1.0, 1.0)
+    return _seed_states(_check_range("c0", c0, -1.0, 1.0))
+
+
+def _seed_states(c0: np.ndarray) -> np.ndarray:
+    """:func:`seed_states` of a float array already in [-1, 1], unchecked."""
     a0 = _seed_polarisation(c0)
     rho = np.zeros(c0.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0 + a0 + a0 + 1.0
@@ -318,7 +335,7 @@ def seed_state(c0: float) -> np.ndarray:
     the correlation matrix is ``diag(c0, -c0, 1)``.  Every two-qubit pure
     state is this state up to local unitaries.
     """
-    return seed_states(_check_number("c0", c0, -1.0, 1.0))
+    return _seed_states(np.array(_check_number("c0", c0, -1.0, 1.0)))
 
 
 def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -353,8 +370,26 @@ def _draw_su2(gen: np.random.Generator) -> np.ndarray:
 
 
 def su2_matrices(z) -> np.ndarray:
-    """The SU(2) matrices ``[[z0, -z1*], [z1, z0*]]`` of a ``(..., 2)`` stack of unit vectors."""
-    z = np.asarray(z, dtype=complex)
+    """The SU(2) matrices ``[[z0, -z1*], [z1, z0*]]`` of a ``(..., 2)`` stack of unit vectors.
+
+    ``z`` must hold numbers, finite and in pairs, and each pair must have
+    unit length within ``UNITARITY_ATOL``: the matrix's ``u u^dagger`` is
+    ``|z|^2`` times the identity.  Anything else is a ``ValueError`` naming ``z``.
+    """
+    z = np.asarray(z)
+    if z.dtype.kind not in "biufc":
+        raise ValueError(f"z must be numbers, got dtype {z.dtype}")
+    if z.ndim < 1 or z.shape[-1] != 2:
+        raise ValueError(f"z must be a (..., 2) stack of vectors, got shape {z.shape}")
+    z = z.astype(complex, copy=False)
+    deviation = np.abs((z.real * z.real + z.imag * z.imag).sum(axis=-1) - 1.0)
+    reason = "z must have unit length, or its matrix is not unitary: |z|^2 - 1 = {}"
+    _reject(~(deviation <= UNITARITY_ATOL), reason, deviation)
+    return _su2_matrices(z)
+
+
+def _su2_matrices(z: np.ndarray) -> np.ndarray:
+    """:func:`su2_matrices` of a complex ``(..., 2)`` stack, unchecked."""
     u = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
     u[..., 0, 0] = z[..., 0]
     u[..., 0, 1] = -np.conj(z[..., 1])
@@ -371,7 +406,7 @@ def random_local_unitary(rng) -> np.ndarray:
     Gaussian; the second is its orthogonal complement, which makes the
     result Haar-distributed with determinant exactly +1.
     """
-    return su2_matrices(_draw_su2(_as_generator(rng)))
+    return _su2_matrices(_draw_su2(_as_generator(rng)))
 
 
 def werner_states(phi) -> np.ndarray:
@@ -380,7 +415,11 @@ def werner_states(phi) -> np.ndarray:
     Writes the nonzero entries directly, as :func:`seed_states` does: the
     correlations ``-f`` of ``sigma_n (x) sigma_n`` added in ``_HS_BASIS`` order.
     """
-    phi = _check_range("phi", phi, -1.0, 1.0)
+    return _werner_states(_check_range("phi", phi, -1.0, 1.0))
+
+
+def _werner_states(phi: np.ndarray) -> np.ndarray:
+    """:func:`werner_states` of a float array already in [-1, 1], unchecked."""
     f = _werner_f(phi)
     rho = np.zeros(phi.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = rho[..., 3, 3] = 1.0 - f
@@ -396,13 +435,12 @@ def werner_state(phi: float) -> np.ndarray:
     matrix is ``-f I`` with ``f = (2 phi + 1) / 3``.  Eigenvalues are
     ``(1 - f) / 4`` (three-fold) and ``(1 + 3 f) / 4``.
     """
-    return werner_states(_check_number("phi", phi, -1.0, 1.0))
+    return _werner_states(np.array(_check_number("phi", phi, -1.0, 1.0)))
 
 
 #: The four Bell projectors, built once and read-only; index 0 is the singlet.
 _BELL_PROJECTORS = tuple(
-    _read_only(hs_compose(HilbertSchmidtForm(a=np.zeros(3), b=np.zeros(3), c=signs)))
-    for signs in BELL_SIGN_MATRICES
+    _read_only(_hs_compose_stack(np.zeros(3), np.zeros(3), signs)) for signs in BELL_SIGN_MATRICES
 )
 
 
@@ -435,18 +473,24 @@ def random_product_state(rng) -> np.ndarray:
     ``rng`` is an integer seed or a ``numpy.random.Generator`` (which is advanced).
     """
     gen = _as_generator(rng)
-    return tensor(qubit_states(_draw_bloch(gen)), qubit_states(_draw_bloch(gen)))
+    return _kron(_qubit_states(_draw_bloch(gen)), _qubit_states(_draw_bloch(gen)))
 
 
 def _draw_ball(gen: np.random.Generator) -> tuple[np.ndarray, float]:
     """The raw draws of one Bloch vector: a Gaussian 3-vector and the radius it
     is scaled to, which is drawn only when the vector is not zero.
 
-    The radius is Python's ``u ** (1/3)``: ``np.power`` and ``np.cbrt`` round
-    some cube roots differently.
+    The test ``x*x + y*y + z*z > 0`` on Python floats makes the decision that
+    ``r.dot(r) > 0`` makes, for every double: each rounded square is
+    non-negative, and a rounded sum of non-negative terms is at least its
+    largest term (rounding is monotone), so the sum is positive exactly when
+    one rounded square is; a fused multiply-add rounds each square the same
+    way once the running sum is zero.  The radius is Python's ``u ** (1/3)``:
+    ``np.power`` and ``np.cbrt`` round some cube roots differently.
     """
     r = gen.standard_normal(3)
-    return r, (gen.random() ** (1.0 / 3.0) if r.dot(r) > 0 else 0.0)
+    x, y, z = r.tolist()
+    return r, (gen.random() ** (1.0 / 3.0) if x * x + y * y + z * z > 0 else 0.0)
 
 
 def _bloch_vectors(r, radius) -> np.ndarray:
@@ -461,7 +505,22 @@ def _draw_bloch(gen: np.random.Generator) -> np.ndarray:
 
 
 def qubit_states(r) -> np.ndarray:
-    """Qubit states ``(1 + r.sigma) / 2`` of a ``(..., 3)`` stack of Bloch vectors."""
-    r = _as_real("r", r)[..., None, None]
+    """Qubit states ``(1 + r.sigma) / 2`` of a ``(..., 3)`` stack of Bloch vectors.
+
+    ``r`` must be real numbers in triples, each of length at most 1 within
+    ``PSD_ATOL`` (the state's eigenvalues are ``(1 +- |r|) / 2``); anything
+    else, NaN too, is a ``ValueError`` naming ``r``.
+    """
+    r = _as_real("r", r)
+    if r.ndim < 1 or r.shape[-1] != 3:
+        raise ValueError(f"r must be a (..., 3) stack of Bloch vectors, got shape {r.shape}")
+    length = np.linalg.norm(r, axis=-1)
+    _reject(~(length <= 1.0 + PSD_ATOL), "r must have length at most 1, got {}", length)
+    return _qubit_states(r)
+
+
+def _qubit_states(r: np.ndarray) -> np.ndarray:
+    """:func:`qubit_states` of a float ``(..., 3)`` stack, unchecked."""
+    r = r[..., None, None]
     x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
     return (ID2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0

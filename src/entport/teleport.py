@@ -36,10 +36,10 @@ from .states import (
     _check_range,
     _check_unitary,
     _read_only,
+    _seed_states,
     _werner_f,
+    _werner_states,
     bell_projector,
-    seed_states,
-    werner_states,
 )
 
 #: Points per block of :func:`simulate_grid`.  A point holds (4, 8, 8)
@@ -254,7 +254,7 @@ def simulate_grid(e0, phi) -> GridReport:
     out = GridReport(np.empty(len(e0)), np.empty(len(e0)), np.empty((len(e0), 4)))
     for start in range(0, len(e0), PROTOCOL_BLOCK):
         block = slice(start, start + PROTOCOL_BLOCK)
-        result = _protocol(seed_states(e0[block]), werner_states(phi[block]), _OPTIMAL_STRATEGY)
+        result = _protocol(_seed_states(e0[block]), _werner_states(phi[block]), _OPTIMAL_STRATEGY)
         out.averaged_fidelity[block] = result.averaged_fidelity
         out.final_entanglement[block] = _negativities(result.final_state)[0]
         out.final_information[block] = _information_decompositions(result.final_state)

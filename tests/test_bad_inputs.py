@@ -48,6 +48,7 @@ from entport.states import (
     rotated_pure_state,
     seed_state,
     seed_states,
+    su2_matrices,
     werner_state,
     werner_states,
 )
@@ -317,6 +318,34 @@ def test_array_entry_points_reject_what_is_not_a_real_number(name, bad):
     parameter = name.split()[0]
     with pytest.raises(ValueError, match=f"^{parameter} must be real numbers, got dtype "):
         ARRAY_ENTRY_POINTS[name](bad)
+
+
+# The public stack builders with a stack outside their domain, as
+# ``(argument, build, bad)``: NaN or infinite entries, a Bloch vector longer
+# than 1, a non-unit SU(2) vector, a wrong last axis and strings.
+BAD_STACKS = {
+    "qubit_states nan": ("r", qubit_states, [math.nan, 0.0, 0.0]),
+    "qubit_states inf": ("r", qubit_states, [[0.0, 0.0, 0.5], [0.0, -math.inf, 0.0]]),
+    "qubit_states outside the ball": ("r", qubit_states, [2.0, 0.0, 0.0]),
+    "qubit_states pair": ("r", qubit_states, [0.6, 0.0]),
+    "su2_matrices not unit": ("z", su2_matrices, [[2.0, 0.0]]),
+    "su2_matrices quadruple": ("z", su2_matrices, np.ones((1, 4))),
+    "su2_matrices strings": ("z", su2_matrices, [["1", "0"]]),
+    "su2_matrices nan": ("z", su2_matrices, [[math.nan, 0.0]]),
+    "su2_matrices inf": ("z", su2_matrices, [[1.0, 0.0], [0.0, complex(0.0, math.inf)]]),
+    "hs_compose_stack nan": (
+        "a",
+        lambda x: hs_compose_stack(x, np.zeros(3), np.zeros((3, 3))),
+        [math.nan, 0.0, 0.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_STACKS)
+def test_stack_builders_reject_a_stack_outside_their_domain(name):
+    argument, build, bad = BAD_STACKS[name]
+    with pytest.raises(ValueError, match=rf"^(stack item \d+: )?{argument} must "):
+        build(bad)
 
 
 @pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)

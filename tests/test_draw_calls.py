@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import entport.axioms as axioms
-from entport.axioms import _draw_lgm_cc, _draw_test_state, check_c1, check_c2, check_c3
+from entport.axioms import _draw_lgm_cc, _draw_test_state, _lgm_cc_arrays, check_c1, check_c2, check_c3
 from entport.states import _bloch_vectors, _draw_bloch, _draw_su2, _su2_vectors
 
 
@@ -130,7 +130,8 @@ def test_merged_draws_equal_the_call_by_call_stream(branches):
     for seed in range(300):
         gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         c0, z, mixed, lam, phi = _draw_test_state(gen)
-        g, raw, measuring_first = _draw_lgm_cc(gen, branches)
+        block, measuring_first = _draw_lgm_cc(gen, branches)
+        g, raw = _lgm_cc_arrays(block)
 
         expected = [ref.random(), su2_by_dot(ref), su2_by_dot(ref)]
         expected_mixed = ref.random() >= 0.5

@@ -31,7 +31,7 @@ def test_code_lines():
         [sys.executable, str(SCRIPTS / "code_lines.py")], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    rows = [line.split() for line in proc.stdout.splitlines()[1:-1]]  # the last is tests/
     src = SCRIPTS.parent / "src"
     modules = sorted(src.rglob("*.py"))
     assert [row[0] for row in rows] == [p.relative_to(src).as_posix() for p in modules] + ["src/"]
@@ -41,6 +41,22 @@ def test_code_lines():
     _, total, code = rows[-1]
     assert int(total) == sum(len(p.read_text().splitlines()) for p in modules)
     assert int(code) == sum(int(row[2]) for row in rows[:-1])
+
+
+def test_code_lines_prints_a_tests_total():
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    label, total, code = proc.stdout.splitlines()[-1].split()
+    tests = sorted((SCRIPTS.parent / "tests").rglob("*.py"))
+    assert label == "tests/"
+    assert int(total) == sum(len(p.read_text().splitlines()) for p in tests)
+    assert int(code) == sum(code_lines.count(p)[1] for p in tests)
+    assert 0 < int(code) < int(total)
 
 
 def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):

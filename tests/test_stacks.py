@@ -27,6 +27,7 @@ from entport.states import (
     _check_unitary,
     _draw_bloch,
     _draw_su2,
+    _su2_matrices,
     hs_compose,
     hs_compose_stack,
     hs_decompose,
@@ -163,7 +164,7 @@ class TestBadItemIsNamed:
             check_density_matrix(stack)
 
     def test_non_unitary(self):
-        u = su2_matrices(np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1.0]]))
+        u = _su2_matrices(np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1.0]]))
         with pytest.raises(ValueError, match=r"^stack item 2: .*unitary"):
             _check_unitary(u)
 
@@ -393,11 +394,11 @@ class TestPinnedAxiomValues:
 
         def planted(gen, branches):
             nonlocal trial
-            g, z, measuring_first = real(gen, branches)
+            raw, measuring_first = real(gen, branches)
             if trial in (5, 61):
-                g[2:4] *= scale
+                raw.reshape(3, -1)[:2, 4:8] *= scale  # Kraus rows 2 and 3, re and im
             trial += 1
-            return g, z, measuring_first
+            return raw, measuring_first
 
         monkeypatch.setattr(axioms, "_draw_lgm_cc", planted)
         with np.errstate(divide="raise", invalid="raise"):
@@ -453,11 +454,11 @@ class TestAxiomErrorsNameTheTrial:
 
         def planted(gen, branches):
             nonlocal trial
-            g, z, measuring_first = real(gen, branches)
+            raw, measuring_first = real(gen, branches)
             if trial == 61:
-                g[2:4] = 0.0
+                raw.reshape(3, -1)[:2, 4:8] = 0.0  # Kraus rows 2 and 3, re and im
             trial += 1
-            return g, z, measuring_first
+            return raw, measuring_first
 
         assert check_c3(100, 2, 7).skip_rate == 0.0
         monkeypatch.setattr(axioms, "_draw_lgm_cc", planted)
@@ -502,7 +503,8 @@ class TestUnitaryErrorsNameTheTrial:
             ("C2", lambda d: d[0][1], lambda: check_c2(100, 7)),  # trial state
             ("C2", lambda d: d[1], lambda: check_c2(100, 7)),  # the (2, n) rotation pair
             ("C3", lambda d: d[0][1], lambda: check_c3(100, 2, 7)),  # trial state
-            ("C3", lambda d: d[1][1], lambda: check_c3(100, 2, 7)),  # (n, branches) unitaries
+            # (n, branches) unitaries: the last third of the raw family block
+            ("C3", lambda d: d[1][0].reshape(3, -1)[2], lambda: check_c3(100, 2, 7)),
         ],
         ids=["C1-state", "C2-state", "C2-rotation", "C3-state", "C3-family"],
     )

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import entport.axioms as axioms
-from entport.axioms import MAX_TRIALS, _generator, _mixtures, _product_states, check_c3
+from entport.axioms import MAX_TRIALS, _generator, _mixtures, _product_states, _weight_rows
+from entport.axioms import check_c3
 from entport.states import _draw_ball
 
 
@@ -54,7 +55,8 @@ def signed_zero_draws(seed: int, trials: int):
 def test_stacked_mixtures_have_the_bits_of_python_sums(draws, seed):
     weights, components = draws(seed, 97)
     assert {len(w) for w in weights} == {2, 3, 4}
-    stacked, reference = _mixtures(weights, components), python_sums(weights, components)
+    stacked = _mixtures(*_weight_rows(weights), components)
+    reference = python_sums(weights, components)
     assert np.array_equal(stacked, reference)
     assert np.array_equal(np.signbit(stacked.real), np.signbit(reference.real))
     assert np.array_equal(np.signbit(stacked.imag), np.signbit(reference.imag))
