@@ -34,10 +34,10 @@ from .states import (
     _check_unitary,
     _draw_ball,
     _qubit_states,
+    _rotated_pure_states,
     _su2_matrices,
     _su2_vectors,
     _werner_states,
-    rotated_pure_state,
 )
 
 #: A condition counts as violated only above this (roundoff headroom).
@@ -257,7 +257,7 @@ def _draw_test_state(gen: np.random.Generator) -> tuple:
 def _test_states(draws: list[tuple]) -> np.ndarray:
     """Stack of the trial states of :func:`_draw_test_state` draws."""
     c0, z, mixed, lam, phi = (np.array(column) for column in zip(*draws))
-    pure = rotated_pure_state(c0, *_su2_pairs(z))
+    pure = _rotated_pure_states(c0, *_su2_pairs(z))
     lam = lam[:, None, None]
     mixture = lam * pure + (1.0 - lam) * _werner_states(phi)
     return np.where(mixed[:, None, None], mixture, pure)
@@ -322,7 +322,7 @@ def _c1_violations(products, weights, parts, c0, z) -> np.ndarray:
     separable = _product_states([*chain(*products, *parts)])
     rows, terms = _weight_rows(weights)
     mixed = _mixtures(_normalised(rows), terms, separable[len(c0) :])
-    pure = rotated_pure_state(c0, *_su2_pairs(z))
+    pure = _rotated_pure_states(np.array(c0), *_su2_pairs(z))
     states = np.stack([separable[: len(c0)], mixed, pure], axis=1)  # (trials, 3, 4, 4)
     product, mixture, rotated = negativities(states).T
     return np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
@@ -340,7 +340,7 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
 def _c2_violations(states, z) -> np.ndarray:
     """Per trial: how far a local rotation moves the trial state's measure."""
     rho = _test_states(states)
-    u = _kron(*map(_check_unitary, _su2_pairs(z)))
+    u = _kron(*_su2_pairs(z))
     rotated, original = negativities(np.stack([u @ rho @ adjoint(u), rho], axis=1)).T
     return np.abs(rotated - original)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkernel import (
-    _as_real,
+    _as_numbers,
     _nonnegative,
     _partial_trace,
     _purities,
@@ -64,7 +64,7 @@ def observable_information(probs, k: int) -> float:
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    p = _as_real("probs", probs)
+    p = _as_numbers("probs", probs)
     # Compare bit lengths first, so a huge k is rejected without computing 2**k.
     if p.ndim != 1 or p.size.bit_length() != k + 1 or p.size != 2**k:
         raise ValueError(f"expected 2**{k} probabilities for k={k}, got shape {p.shape}")

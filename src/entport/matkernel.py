@@ -16,7 +16,7 @@ already validated and check nothing; ``partial_trace``,
 ``partial_transpose`` and ``purity`` validate, then call them.
 ``_single`` is the gate of the entry points that take one matrix and not a
 stack, ``_check_count`` the gate of every integer count or index, and
-``_as_real`` the one test of what real numbers are.
+``_as_numbers`` the gate of every array argument's dtype and item shape.
 ``_reject`` is the one way a stack item is rejected: every check of a
 stack, here and in the other modules, hands it the items that fail, and it
 raises the :class:`StackItemError` that names the first of them.
@@ -83,10 +83,7 @@ def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
     entries that are not numbers (a string or object dtype), non-square
     shapes, unsupported dimensions or non-finite entries.
     """
-    a = np.asarray(m)
-    if a.dtype.kind not in "biufc":
-        raise ValueError(f"matrix entries must be numbers, got dtype {a.dtype}")
-    a = a.astype(complex, copy=False)
+    a = _as_numbers("matrix entries", m, real=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape[-1] not in dims:
@@ -95,17 +92,24 @@ def as_operator(m, dims: tuple[int, ...] = ALLOWED_DIMS) -> np.ndarray:
     return a
 
 
-def _as_real(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array, if they are real numbers; the one test of what that is.
+def _as_numbers(name: str, values, item: tuple[int, ...] = (), real: bool = True) -> np.ndarray:
+    """``values`` as a float64 (``real``) or complex array whose shape ends in ``item``.
 
-    Real numbers are the bool, integer and float dtypes; any other dtype
-    (complex, string, object) is a ``ValueError``, raised before numpy would
-    drop an imaginary part or parse a string.
+    The one gate of what an array argument holds.  Real numbers are the
+    bool, integer and float dtypes, and numbers add complex; any other dtype
+    (string, object, or complex where real numbers are expected) is a
+    ``ValueError`` naming the argument, raised before numpy would drop an
+    imaginary part or parse a string.  So is a shape that does not end in
+    ``item``, such as a pair where triples are expected.
     """
     array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
-    return array.astype(float, copy=False)
+    if array.dtype.kind not in ("biuf" if real else "biufc"):
+        kind = "real numbers" if real else "numbers"
+        raise ValueError(f"{name} must be {kind}, got dtype {array.dtype}")
+    if array.shape[array.ndim - len(item) :] != item:
+        shape = ", ".join(["...", *map(str, item)])
+        raise ValueError(f"{name} must have shape ({shape}), got {array.shape}")
+    return array.astype(float if real else complex, copy=False)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .matkernel import (
     PSD_ATOL,
-    _as_real,
+    _as_numbers,
     _check_count,
     _check_hermitian,
     _check_unit_trace,
@@ -82,10 +82,10 @@ def _check_unitary(u) -> np.ndarray:
 def _check_range(name: str, values, lo: float, hi: float) -> np.ndarray:
     """``values`` (a number or an array) as float64, if each is a real number in [lo, hi].
 
-    What is not real numbers (see :func:`_as_real`) is a ``ValueError``, as
+    What is not real numbers (see :func:`_as_numbers`) is a ``ValueError``, as
     is NaN or a value outside [lo, hi].
     """
-    array = _as_real(name, values)
+    array = _as_numbers(name, values)
     inside = (array >= lo) & (array <= hi)  # False for NaN
     _reject(~inside, f"{name} must lie in [{lo:g}, {hi:g}], got {{}}", array)
     return array
@@ -149,6 +149,9 @@ class HilbertSchmidtForm:
         Bloch vector of the second qubit.
     c : ndarray, shape (3, 3)
         Correlation matrix; ``c[n, m]`` multiplies ``sigma_n (x) sigma_m``.
+
+    The coefficients pass the gate of :func:`hs_compose_stack`, and a stack
+    of them is a ``ValueError``: a form holds one set.
     """
 
     a: np.ndarray
@@ -156,15 +159,10 @@ class HilbertSchmidtForm:
     c: np.ndarray
 
     def __post_init__(self):
-        a = _as_real("a", self.a).reshape(3)
-        b = _as_real("b", self.b).reshape(3)
-        c = _as_real("c", self.c).reshape(3, 3)
-        for arr in (a, b, c):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("Hilbert-Schmidt coefficients must be finite")
+        a, b, c = _hs_coefficients(self.a, self.b, self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _single(c))
 
 
 @dataclass(frozen=True)
@@ -258,13 +256,24 @@ def hs_compose_stack(a, b, c) -> np.ndarray:
     + sum_nm c[n,m] sigma_n (x) sigma_m]``, the term-by-term sum of
     ``coefficient * basis matrix`` from the identity in the basis order of
     ``_HS_BASIS``: the bit reference of :func:`seed_states` and
-    :func:`werner_states`.  Coefficients that are not finite real numbers
-    are a ``ValueError`` naming their argument.
+    :func:`werner_states`.  Coefficients that are not finite real numbers,
+    or not of those shapes, are a ``ValueError`` naming their argument.
     """
-    a, b, c = (_as_real(name, x) for name, x in zip("abc", (a, b, c)))
+    return _hs_compose_stack(*_hs_coefficients(a, b, c))
+
+
+def _hs_coefficients(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a``, ``b``, ``c`` as float arrays, if they are finite real ``(..., 3)``,
+    ``(..., 3)`` and ``(..., 3, 3)`` stacks with one leading shape.
+
+    The gate of Pauli-expansion coefficients; its errors name the arguments.
+    """
+    a, b, c = _as_numbers("a", a, (3,)), _as_numbers("b", b, (3,)), _as_numbers("c", c, (3, 3))
+    if not a.shape[:-1] == b.shape[:-1] == c.shape[:-2]:
+        raise ValueError(f"a, b and c must share a leading shape: {a.shape}, {b.shape}, {c.shape}")
     for name, x, axes in (("a", a, -1), ("b", b, -1), ("c", c, (-2, -1))):
         _reject(~np.isfinite(x).all(axis=axes), f"{name} must be finite")
-    return _hs_compose_stack(a, b, c)
+    return a, b, c
 
 
 def _hs_compose_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -283,6 +292,8 @@ def hs_compose(form: HilbertSchmidtForm) -> np.ndarray:
     Returns ``(1/4) [1(x)1 + a.sigma (x) 1 + 1 (x) b.sigma
     + sum_nm c[n,m] sigma_n (x) sigma_m]``; see :func:`hs_compose_stack`.
     """
+    if not isinstance(form, HilbertSchmidtForm):
+        raise ValueError("form must be a HilbertSchmidtForm")
     return _hs_compose_stack(form.a, form.b, form.c)
 
 
@@ -345,8 +356,13 @@ def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     also be an array and ``u1``, ``u2`` matching ``(..., 2, 2)`` stacks,
     which gives a stack of states.
     """
-    u = _kron(_check_unitary(u1), _check_unitary(u2))
-    return u @ seed_states(c0) @ adjoint(u)
+    return _rotated_pure_states(_check_range("c0", c0, -1.0, 1.0), *map(_check_unitary, (u1, u2)))
+
+
+def _rotated_pure_states(c0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """:func:`rotated_pure_state` of a float array in [-1, 1] and unitary stacks, unchecked."""
+    u = _kron(u1, u2)
+    return u @ _seed_states(c0) @ adjoint(u)
 
 
 # The random vectors below are drawn raw and normalised as stacks, so the axiom
@@ -376,12 +392,7 @@ def su2_matrices(z) -> np.ndarray:
     unit length within ``UNITARITY_ATOL``: the matrix's ``u u^dagger`` is
     ``|z|^2`` times the identity.  Anything else is a ``ValueError`` naming ``z``.
     """
-    z = np.asarray(z)
-    if z.dtype.kind not in "biufc":
-        raise ValueError(f"z must be numbers, got dtype {z.dtype}")
-    if z.ndim < 1 or z.shape[-1] != 2:
-        raise ValueError(f"z must be a (..., 2) stack of vectors, got shape {z.shape}")
-    z = z.astype(complex, copy=False)
+    z = _as_numbers("z", z, (2,), real=False)
     deviation = np.abs((z.real * z.real + z.imag * z.imag).sum(axis=-1) - 1.0)
     reason = "z must have unit length, or its matrix is not unitary: |z|^2 - 1 = {}"
     _reject(~(deviation <= UNITARITY_ATOL), reason, deviation)
@@ -511,9 +522,7 @@ def qubit_states(r) -> np.ndarray:
     ``PSD_ATOL`` (the state's eigenvalues are ``(1 +- |r|) / 2``); anything
     else, NaN too, is a ``ValueError`` naming ``r``.
     """
-    r = _as_real("r", r)
-    if r.ndim < 1 or r.shape[-1] != 3:
-        raise ValueError(f"r must be a (..., 3) stack of Bloch vectors, got shape {r.shape}")
+    r = _as_numbers("r", r, (3,))
     length = np.linalg.norm(r, axis=-1)
     _reject(~(length <= 1.0 + PSD_ATOL), "r must have length at most 1, got {}", length)
     return _qubit_states(r)

@@ -272,6 +272,8 @@ def final_state_closed_form(
     and the correlation matrix are both scaled by ``+f = (2 phi + 1) / 3``,
     independent of the outcome.
     """
+    if not isinstance(form0, HilbertSchmidtForm):
+        raise ValueError("form0 must be a HilbertSchmidtForm")
     if not isinstance(channel, WernerChannel):
         raise ValueError("channel must be a WernerChannel")
     return HilbertSchmidtForm(a=form0.a.copy(), b=channel.f * form0.b, c=channel.f * form0.c)

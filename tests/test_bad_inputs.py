@@ -2,12 +2,17 @@
 
 A check written as ``x < lo or x > hi`` lets NaN through, because every
 comparison with NaN is False; these properties feed such values to each entry
-point, scalar and matrix alike, and require a ``ValueError``.
+point, scalar and matrix alike, and require a ``ValueError``.  ``BOUNDARY``, at
+the end, names every public callable of the package with the rows that feed it
+bad input, or the reason it has none.
 """
 
+import importlib
+import inspect
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +27,14 @@ from entport.entanglement import (
     negativities,
     negativity,
 )
-from entport.information import information_decomposition, observable_information
+from entport.information import (
+    information_decomposition,
+    observable_information,
+    total_information,
+)
 from entport.matkernel import (
+    _as_numbers,
+    as_operator,
     check_density_matrix,
     herm_eigvals,
     partial_trace,
@@ -34,18 +45,21 @@ from entport.matkernel import (
 from entport.states import (
     BELL_SIGN_MATRICES,
     BOB_CORRECTIONS,
+    ID2,
     BellOutcome,
     HilbertSchmidtForm,
     SeedParams,
     WernerChannel,
     bell_outcome,
     bell_projector,
+    hs_compose,
     hs_compose_stack,
     hs_decompose,
     qubit_states,
     random_local_unitary,
     random_product_state,
     rotated_pure_state,
+    rotation_from_unitary,
     seed_state,
     seed_states,
     su2_matrices,
@@ -53,6 +67,7 @@ from entport.states import (
     werner_states,
 )
 from entport.teleport import (
+    BobStrategy,
     correlation_info_from_entanglement,
     fidelity_closed_form,
     final_entanglement_closed_form,
@@ -200,6 +215,7 @@ MATRIX_ENTRY_POINTS = {
     "hs_decompose": hs_decompose,
     "information_decomposition": information_decomposition,
     "entropy_of_entanglement": entropy_of_entanglement,
+    "total_information": total_information,
 }
 
 
@@ -227,6 +243,7 @@ KERNEL_ENTRY_POINTS = {
     "partial_transpose": partial_transpose,
     "herm_eigvals": herm_eigvals,
     "tensor": lambda rho: tensor(rho, rho),
+    "as_operator": as_operator,
 }
 
 
@@ -322,7 +339,9 @@ def test_array_entry_points_reject_what_is_not_a_real_number(name, bad):
 
 # The public stack builders with a stack outside their domain, as
 # ``(argument, build, bad)``: NaN or infinite entries, a Bloch vector longer
-# than 1, a non-unit SU(2) vector, a wrong last axis and strings.
+# than 1, a non-unit SU(2) vector, a wrong last axis and strings; and the
+# Pauli coefficients of ``hs_compose_stack`` and ``HilbertSchmidtForm`` in
+# shapes that do not fit together.
 BAD_STACKS = {
     "qubit_states nan": ("r", qubit_states, [math.nan, 0.0, 0.0]),
     "qubit_states inf": ("r", qubit_states, [[0.0, 0.0, 0.5], [0.0, -math.inf, 0.0]]),
@@ -338,6 +357,31 @@ BAD_STACKS = {
         lambda x: hs_compose_stack(x, np.zeros(3), np.zeros((3, 3))),
         [math.nan, 0.0, 0.0],
     ),
+    "hs_compose_stack pair": (
+        "a",
+        lambda x: hs_compose_stack(x, np.zeros(3), np.zeros((3, 3))),
+        [0.1, 0.2],
+    ),
+    "hs_compose_stack flat c": (
+        "c",
+        lambda x: hs_compose_stack(np.zeros(3), np.zeros(3), x),
+        np.zeros(9),
+    ),
+    "hs_compose_stack leading shapes": (
+        "a, b and c",
+        lambda x: hs_compose_stack(x, x, np.zeros((3, 3, 3))),
+        np.zeros((2, 3)),
+    ),
+    "HilbertSchmidtForm flat c": (
+        "c",
+        lambda x: HilbertSchmidtForm(np.zeros(3), np.zeros(3), x),
+        np.arange(9.0),
+    ),
+    "HilbertSchmidtForm leading shapes": (
+        "a, b and c",
+        lambda x: HilbertSchmidtForm(x, np.zeros(3), np.zeros((3, 3))),
+        np.zeros((1, 3)),
+    ),
 }
 
 
@@ -346,6 +390,13 @@ def test_stack_builders_reject_a_stack_outside_their_domain(name):
     argument, build, bad = BAD_STACKS[name]
     with pytest.raises(ValueError, match=rf"^(stack item \d+: )?{argument} must "):
         build(bad)
+
+
+def test_a_hilbert_schmidt_form_holds_one_set_of_coefficients():
+    # A form's attributes have the shapes (3,), (3,) and (3, 3), so a stack of one set is no form.
+    message = re.escape("expected one matrix, got a stack of shape (1, 3, 3)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HilbertSchmidtForm(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3, 3)))
 
 
 @pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
@@ -378,6 +429,45 @@ def test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy(entry, strateg
 def test_final_state_closed_form_rejects_a_channel_that_is_not_a_werner_channel():
     with pytest.raises(ValueError, match="^channel must be a WernerChannel$"):
         final_state_closed_form(hs_decompose(seed_state(0.5)), 0.5)
+
+
+# Each entry point that takes a HilbertSchmidtForm, with it replaced by ``x``;
+# the key names that argument.
+FORM_ENTRY_POINTS = {
+    "form hs_compose": hs_compose,
+    "form0 final_state_closed_form": lambda x: final_state_closed_form(x, WernerChannel(0.5)),
+}
+
+
+@pytest.mark.parametrize("name", FORM_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.eye(4) / 4, None], ids=["matrix", "None"])
+def test_form_entry_points_reject_what_is_not_a_form(name, bad):
+    argument = name.split()[0]
+    with pytest.raises(ValueError, match=f"^{argument} must be a HilbertSchmidtForm$"):
+        FORM_ENTRY_POINTS[name](bad)
+
+
+# Each entry point that takes a qubit unitary, with one replaced by ``u``.
+UNITARY_ENTRY_POINTS = {
+    "rotation_from_unitary": rotation_from_unitary,
+    "rotated_pure_state": lambda u: rotated_pure_state(0.5, ID2, u),
+    "BobStrategy": lambda u: BobStrategy((*BOB_CORRECTIONS[:3], u)),
+}
+
+
+@pytest.mark.parametrize("name", UNITARY_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (2.0 * np.eye(2), "matrix is not unitary within tolerance"),
+        (np.full((2, 2), math.nan), "matrix entries must be finite"),
+        (np.eye(4), re.escape("dimension 4 not supported (allowed: (2,))")),
+    ],
+    ids=["not unitary", "nan", "4x4"],
+)
+def test_unitary_entry_points_reject_what_is_not_a_qubit_unitary(name, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UNITARY_ENTRY_POINTS[name](bad)
 
 
 # The axiom checks with every argument but the seed fixed.
@@ -518,3 +608,176 @@ def test_cli_names_the_field_that_is_not_a_number(flag, value, message, tmp_path
     assert main(["sweep", flag, value, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_only_the_gate_tests_a_dtype():
+    # A dtype test or float conversion of its own would let a new array argument
+    # skip the gate unseen.
+    pattern = re.compile(r"dtype\.kind|np\.asarray\(.*dtype=|\.astype\(")
+    gate = inspect.getsource(_as_numbers)
+    assert pattern.search(gate)  # the scan sees what it looks for
+    found = []
+    for path in sorted((Path(__file__).parent.parent / "src" / "entport").glob("*.py")):
+        text = path.read_text().replace(gate, "")
+        found += [f"{path.name}: {match.group()}" for match in pattern.finditer(text)]
+    assert found == []
+
+
+# Every public function and class of the seven modules, with the rows above that
+# feed it bad input (``(table, key)`` pairs and tests of this file), or the
+# reason it has none.
+RECORD = "a result or error record that the package fills; it validates nothing"
+BOUNDARY = {
+    "matkernel.StackItemError": RECORD,
+    "matkernel.as_operator": ((KERNEL_ENTRY_POINTS, "as_operator"),),
+    "matkernel.adjoint": "any numeric array has a conjugate transpose: there is no domain to check",
+    "matkernel.tensor": ((KERNEL_ENTRY_POINTS, "tensor"),),
+    "matkernel.partial_trace": ((KERNEL_ENTRY_POINTS, "partial_trace"), (COUNTS, "keep")),
+    "matkernel.partial_transpose": ((KERNEL_ENTRY_POINTS, "partial_transpose"),),
+    "matkernel.herm_eigvals": ((KERNEL_ENTRY_POINTS, "herm_eigvals"),),
+    "matkernel.check_density_matrix": ((KERNEL_ENTRY_POINTS, "check_density_matrix"),),
+    "matkernel.purity": ((KERNEL_ENTRY_POINTS, "purity"),),
+    "states.HilbertSchmidtForm": (
+        (ARRAY_ENTRY_POINTS, "a HilbertSchmidtForm"),
+        (ARRAY_ENTRY_POINTS, "c HilbertSchmidtForm"),
+        (BAD_STACKS, "HilbertSchmidtForm flat c"),
+        (BAD_STACKS, "HilbertSchmidtForm leading shapes"),
+        test_a_hilbert_schmidt_form_holds_one_set_of_coefficients,
+    ),
+    "states.SeedParams": ((SCALAR_ENTRY_POINTS, "SeedParams"),),
+    "states.WernerChannel": ((SCALAR_ENTRY_POINTS, "WernerChannel"),),
+    "states.BellOutcome": ((COUNTS, "alpha BellOutcome"),),
+    "states.bell_outcome": ((COUNTS, "alpha bell_outcome"),),
+    "states.hs_compose_stack": (
+        (ARRAY_ENTRY_POINTS, "a hs_compose_stack"),
+        (BAD_STACKS, "hs_compose_stack nan"),
+        (BAD_STACKS, "hs_compose_stack pair"),
+        (BAD_STACKS, "hs_compose_stack flat c"),
+        (BAD_STACKS, "hs_compose_stack leading shapes"),
+    ),
+    "states.hs_compose": ((FORM_ENTRY_POINTS, "form hs_compose"),),
+    "states.hs_decompose": ((MATRIX_ENTRY_POINTS, "hs_decompose"),),
+    "states.seed_states": ((ARRAY_ENTRY_POINTS, "c0 seed_states"),),
+    "states.seed_state": ((SCALAR_ENTRY_POINTS, "seed_state"), test_seed_state_rejects_bad_c0),
+    "states.rotated_pure_state": (
+        (ARRAY_ENTRY_POINTS, "c0 rotated_pure_state"),
+        (UNITARY_ENTRY_POINTS, "rotated_pure_state"),
+    ),
+    "states.su2_matrices": tuple((BAD_STACKS, k) for k in BAD_STACKS if k.startswith("su2_")),
+    "states.random_local_unitary": ((SAMPLERS, "random_local_unitary"),),
+    "states.werner_states": ((ARRAY_ENTRY_POINTS, "phi werner_states"),),
+    "states.werner_state": (
+        (SCALAR_ENTRY_POINTS, "werner_state"),
+        test_werner_state_rejects_bad_phi,
+    ),
+    "states.bell_projector": ((COUNTS, "alpha bell_projector"),),
+    "states.rotation_from_unitary": ((UNITARY_ENTRY_POINTS, "rotation_from_unitary"),),
+    "states.random_product_state": ((SAMPLERS, "random_product_state"),),
+    "states.qubit_states": (
+        (ARRAY_ENTRY_POINTS, "r qubit_states"),
+        *((BAD_STACKS, k) for k in BAD_STACKS if k.startswith("qubit_states")),
+    ),
+    "entanglement.EntanglementReport": RECORD,
+    "entanglement.negativity": ((MATRIX_ENTRY_POINTS, "negativity"),),
+    "entanglement.negativities": (
+        (MATRIX_ENTRY_POINTS, "negativities"),
+        test_negativities_names_the_non_finite_item,
+    ),
+    "entanglement.entropy_of_entanglement": ((MATRIX_ENTRY_POINTS, "entropy_of_entanglement"),),
+    "entanglement.entropy_vs_negativity_curve": ((COUNTS, "points"),),
+    "information.InformationReport": RECORD,
+    "information.observable_information": (
+        (ARRAY_ENTRY_POINTS, "probs observable_information"),
+        test_observable_information_rejects_non_finite_probabilities,
+        test_observable_information_rejects_a_float_k,
+        test_observable_information_rejects_k_out_of_range,
+    ),
+    "information.total_information": ((MATRIX_ENTRY_POINTS, "total_information"),),
+    "information.information_decomposition": (
+        (MATRIX_ENTRY_POINTS, "information_decomposition"),
+    ),
+    "teleport.BobStrategy": ((UNITARY_ENTRY_POINTS, "BobStrategy"),),
+    "teleport.optimal_strategy": "it takes no arguments",
+    "teleport.TeleportationReport": RECORD,
+    "teleport.GridReport": RECORD,
+    "teleport.simulate": (
+        (MATRIX_ENTRY_POINTS, "simulate"),
+        test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy,
+    ),
+    "teleport.simulate_grid": (
+        (ARRAY_ENTRY_POINTS, "e0 simulate_grid"),
+        (ARRAY_ENTRY_POINTS, "phi simulate_grid"),
+    ),
+    "teleport.final_state_closed_form": (
+        (FORM_ENTRY_POINTS, "form0 final_state_closed_form"),
+        test_final_state_closed_form_rejects_a_channel_that_is_not_a_werner_channel,
+    ),
+    "teleport.fidelity_general": (test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy,),
+    **{
+        f"teleport.{f.__name__}": (
+            (SCALAR_ENTRY_POINTS, f"{f.__name__}(first)"),
+            (SCALAR_ENTRY_POINTS, f"{f.__name__}(second)"),
+            test_closed_forms_reject_bad_arguments,
+        )
+        for f in CLOSED_FORMS
+    },
+    "axioms.LgmCcFamily": "its bad families, an empty one and an incomplete one, are rows of "
+    "tests/test_axioms.py::TestSampleLgmCc::test_family_rejects_incomplete_operators",
+    "axioms.AxiomReport": RECORD,
+    "axioms.sample_lgm_cc": ((SAMPLERS, "sample_lgm_cc"), (COUNTS, "branches sample_lgm_cc")),
+    "axioms.check_c1": ((AXIOM_CHECKS, "C1"), (COUNTS, "trials C1")),
+    "axioms.check_c2": ((AXIOM_CHECKS, "C2"), (COUNTS, "trials C2")),
+    "axioms.check_c3": ((AXIOM_CHECKS, "C3"), (COUNTS, "trials C3"), (COUNTS, "branches C3")),
+    "cli.SweepGrid": (
+        (ARRAY_ENTRY_POINTS, "e0 SweepGrid"),
+        (ARRAY_ENTRY_POINTS, "phi SweepGrid"),
+        test_sweep_grid_rejects_bad_e0,
+        test_sweep_grid_rejects_bad_phi,
+    ),
+    "cli.parse_values": (
+        test_cli_rejects_non_finite_values,
+        test_cli_rejects_a_range_count_that_is_not_an_integer,
+        test_cli_names_the_field_that_is_not_a_number,
+    ),
+    "cli.compare": "it takes a SweepGrid, whose axes are checked when it is built",
+    "cli.cmd_sweep": "it takes a SweepGrid, whose axes are checked when it is built; "
+    "tests/test_cli.py rejects a format other than csv or json",
+    "cli.cmd_verify": "it hands its counts and seed to check_c3 before anything runs, "
+    "whose rows are above",
+    "cli.cmd_curve": "it hands its points to entropy_vs_negativity_curve, whose row is above, "
+    "before it opens its output",
+    "cli.main": (
+        test_cli_rejects_non_finite_values,
+        test_cli_rejects_a_negative_seed,
+        test_cli_rejects_a_range_count_that_is_not_an_integer,
+        test_cli_names_the_field_that_is_not_a_number,
+    ),
+}
+
+
+def public_callables():
+    """``module.name`` of every public function and class the seven modules define."""
+    for name in ("matkernel", "states", "entanglement", "information", "teleport", "axioms", "cli"):
+        module = importlib.import_module(f"entport.{name}")
+        for attribute, value in vars(module).items():
+            if not attribute.startswith("_") and callable(value):
+                if getattr(value, "__module__", None) == module.__name__:
+                    yield f"{name}.{attribute}"
+
+
+def test_every_public_callable_has_bad_input_rows_or_a_reason():
+    names = set(public_callables())
+    # The scan sees what it should: a class, a kernel function and the CLI.
+    assert {"states.HilbertSchmidtForm", "matkernel.adjoint", "cli.main"} <= names
+    assert sorted(names - BOUNDARY.keys()) == []
+    assert sorted(BOUNDARY.keys() - names) == []
+    for name, rows in BOUNDARY.items():
+        assert rows, name
+        if isinstance(rows, str):
+            continue
+        for row in rows:
+            if callable(row):
+                assert row.__name__.startswith("test_"), (name, row)
+            else:
+                table, key = row
+                assert key in table, (name, key)

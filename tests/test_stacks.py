@@ -432,7 +432,7 @@ class TestAxiomErrorsNameTheTrial:
     @pytest.mark.parametrize(
         "check,builder,run",
         [
-            ("C1", "rotated_pure_state", lambda: check_c1(100, 7)),
+            ("C1", "_rotated_pure_states", lambda: check_c1(100, 7)),
             ("C2", "_test_states", lambda: check_c2(100, 7)),
             ("C3", "_test_states", lambda: check_c3(100, 2, 7)),
         ],

@@ -3,8 +3,8 @@
 The stacked cores work on input that a public entry point has already checked,
 or that the code built itself from range-checked numbers, so they validate
 nothing.  These tests count the matrix validations (``check_density_matrix``,
-``as_operator`` and the Hermiticity check) by wrapping them wherever the
-package has bound them.
+``as_operator`` and the Hermiticity check), and the unitarity and range gates
+of the states, by wrapping them wherever the package has bound them.
 """
 
 import collections
@@ -19,6 +19,7 @@ import entport.information
 import entport.matkernel
 import entport.states
 import entport.teleport
+from entport.axioms import check_c1, check_c2, check_c3
 from entport.cli import DEFAULT_E0_GRID, DEFAULT_PHI_GRID, SweepGrid, compare
 from entport.entanglement import entropy_vs_negativity_curve, negativities
 from entport.states import WernerChannel, seed_state, werner_state
@@ -36,12 +37,11 @@ MODULES = (
 VALIDATIONS = ("check_density_matrix", "as_operator", "_check_hermitian")
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """A counter of the validation calls made while the test runs."""
+def counted_calls(monkeypatch, source, names) -> collections.Counter:
+    """A counter of the calls to each ``source.<name>`` made while the test runs."""
     counter = collections.Counter()
-    for name in VALIDATIONS:
-        original = getattr(entport.matkernel, name)
+    for name in names:
+        original = getattr(source, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counter[_name] += 1
@@ -51,6 +51,12 @@ def calls(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counter
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """A counter of the matrix validation calls made while the test runs."""
+    return counted_calls(monkeypatch, entport.matkernel, VALIDATIONS)
 
 
 def test_compare_validates_no_matrix(calls):
@@ -80,3 +86,21 @@ def test_simulate_validates_its_input_once(calls):
     rho = seed_state(0.6)
     simulate(rho, WernerChannel(0.5))
     assert calls == {"check_density_matrix": 1, "as_operator": 1, "_check_hermitian": 1}
+
+
+@pytest.mark.parametrize(
+    "run,expected",
+    [
+        (lambda: check_c1(100, 7), {}),
+        (lambda: check_c2(100, 7), {}),
+        (lambda: check_c3(100, 2, 7), {"_check_unitary": 1}),
+    ],
+    ids=["C1", "C2", "C3"],
+)
+def test_axiom_trials_are_validated_once(monkeypatch, run, expected):
+    # The negativities' check_density_matrix validates every trial state, so the
+    # suites build them unchecked.  C3's one call checks the family unitaries of
+    # its one block, which would otherwise fail completeness first if NaN.
+    calls = counted_calls(monkeypatch, entport.states, ("_check_unitary", "_check_range"))
+    run()
+    assert calls == expected
