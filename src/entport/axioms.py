@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .entanglement import negativities
-from .matkernel import STACK_BLOCK, StackItemError, _check_count, _kron, _reject
+from .matkernel import STACK_BLOCK, StackItemError, _as_numbers, _check_count, _kron, _reject
 from .matkernel import adjoint, tensor
 from .states import (
     _as_generator,
@@ -66,20 +66,21 @@ class LgmCcFamily:
     the joint completeness relation
     ``sum_i (A_i (x) B_i)^dagger (A_i (x) B_i) = 1``, which index-paired
     sets achieve when the side opposite a measurement applies branch-wise
-    unitaries (see :func:`sample_lgm_cc`).
+    unitaries (see :func:`sample_lgm_cc`).  ``operators`` that are not
+    ``(A, B)`` pairs of 2x2 matrices are a ``ValueError`` naming them.
     """
 
     operators: list[tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValueError("family needs at least one operator pair")
+        pairs = _as_numbers("operators", self.operators, (2, 2, 2), real=False)
+        if pairs.ndim != 4:
+            raise ValueError(f"operators must be (A, B) pairs of 2x2 matrices, got shape {pairs.shape}")
         if self.completeness_residual() > COMPLETENESS_ATOL:
             raise ValueError("operator family does not satisfy completeness")
 
     def completeness_residual(self) -> float:
-        a, b = zip(*self.operators)
-        return float(_completeness_residuals(tensor(np.array(a), np.array(b))))
+        return float(_completeness_residuals(tensor(*np.swapaxes(self.operators, 0, 1))))
 
 
 def _completeness_residuals(v: np.ndarray) -> np.ndarray:
@@ -103,24 +104,17 @@ class AxiomReport:
     skip_rate: float = 0.0
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of a non-negative integer, low word first (``[0]`` for 0)."""
-    n = int(n)
-    return [n & 0xFFFFFFFF] if n <= 0xFFFFFFFF else [n & 0xFFFFFFFF, *_words(n >> 32)]
-
-
 def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
     """The generator of ``np.random.default_rng([seed, check_tag, trial])``.
 
-    numpy turns that list into the ``uint32`` array of each int's words, low
-    word first; passing the array skips its per-int coercion, and the stream
-    is the same.  An int below 2**32 is its own one word.
+    numpy turns that list into the ``uint32`` words of each int, low word
+    first, so three ints below 2**32 are their own three words: passing them
+    as one ``uint32`` array gives the same stream and skips numpy's per-int
+    coercion.  Any larger int is left to numpy's own conversion of the list.
     """
     if max(seed, check_tag, trial) <= 0xFFFFFFFF:
-        words = [seed, check_tag, trial]
-    else:
-        words = [w for n in (seed, check_tag, trial) for w in _words(n)]
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+        return np.random.default_rng(np.array([seed, check_tag, trial], dtype=np.uint32))
+    return np.random.default_rng([seed, check_tag, trial])
 
 
 def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomReport:
@@ -293,19 +287,15 @@ def _mixtures(w: np.ndarray, terms: np.ndarray, components: np.ndarray) -> np.nd
     """Stack of the mixtures ``sum_k w[i, k] * s_k``, one per row of :func:`_weight_rows`,
     of the row's ``terms[i]`` consecutive components.
 
-    Each sum starts as ``0 + w[i, 0] * s_0`` and adds its further terms in
-    order; a mixture with fewer terms keeps its sum.  These are the
-    operations of Python's ``sum`` over the terms, so the bits, signed zeros
-    too, are the same.
+    The components are zero-padded to four per row, as the weights are, and
+    each row is Python's ``sum`` of its four terms.  A padded term is
+    ``0.0 * (0+0j) = +0``, and adding ``+0`` changes no ``x`` but ``-0.0``;
+    the sum starts as ``0 + w[i, 0] * s_0``, which never holds ``-0.0``.  So
+    the bits, signed zeros too, are those of ``sum`` over the row's own terms.
     """
-    first = np.cumsum(terms) - terms
-    w = w[..., None, None]
-    mixed = 0 + w[:, 0] * components[first]
-    for k in range(1, terms.max()):
-        has = terms > k
-        at = np.where(has, first + k, first)
-        mixed = np.where(has[:, None, None], mixed + w[:, k] * components[at], mixed)
-    return mixed
+    padded = np.zeros((len(terms), 4, 4, 4), dtype=complex)
+    padded[np.arange(4) < terms[:, None]] = components
+    return sum(w[:, k, None, None] * padded[:, k] for k in range(4))
 
 
 def _draw_c1(gen: np.random.Generator) -> tuple:

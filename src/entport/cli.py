@@ -190,6 +190,8 @@ def compare(grid: SweepGrid) -> tuple[dict[str, np.ndarray], dict[str, np.ndarra
     closed forms, read at ``ew = max(0, phi)``, each run once over the whole grid.
     A row's ``max_abs_discrepancy`` is the largest of its gated gaps.
     """
+    if not isinstance(grid, SweepGrid):
+        raise ValueError("grid must be a SweepGrid")
     e0 = np.repeat(grid.e0_values, len(grid.phi_values))
     phi = np.tile(grid.phi_values, len(grid.e0_values))
     sim = simulate_grid(e0, phi)

@@ -250,10 +250,14 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     return rho
 
 
-def _single(m: np.ndarray) -> np.ndarray:
-    """``m`` itself, if it is one matrix and not a stack; for scalar-only entry points."""
+def _single(m: np.ndarray, name: str = "") -> np.ndarray:
+    """``m`` itself, if it is one matrix and not a stack; for scalar-only entry points.
+
+    A ``name`` makes the error name the argument.
+    """
     if m.ndim != 2:
-        raise ValueError(f"expected one matrix, got a stack of shape {m.shape}")
+        subject = f"{name} must be" if name else "expected"
+        raise ValueError(f"{subject} one matrix, got a stack of shape {m.shape}")
     return m
 
 

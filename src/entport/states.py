@@ -224,10 +224,12 @@ class BellOutcome:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_count("alpha", self.alpha, 0, 3))
+        p = _single(_as_numbers("p_matrix", self.p_matrix, (3, 3)), "p_matrix")
+        object.__setattr__(self, "p_matrix", p)
         # Optimality condition: the correction's Bloch rotation must be the
         # negative of the outcome's sign matrix.
         rot = rotation_from_unitary(self.correction)
-        if np.max(np.abs(rot + self.p_matrix)) > ROTATION_ATOL:
+        if not np.max(np.abs(rot + p)) <= ROTATION_ATOL:  # NaN too
             raise ValueError("correction does not rotate by -P_alpha")
 
 
@@ -468,7 +470,7 @@ def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
     i.e. ``O[k, n] = Re Tr[sigma_n u sigma_k u^dagger] / 2``.  ``O`` is
     orthogonal with determinant +1.
     """
-    u = _check_unitary(u)
+    u = _single(_check_unitary(u))
     o = np.empty((3, 3))
     for k in range(3):
         conjugated = u @ PAULIS[k] @ adjoint(u)

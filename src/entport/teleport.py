@@ -79,9 +79,10 @@ class BobStrategy:
     operators: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.corrections) != 4:
-            raise ValueError("a strategy needs exactly 4 correction unitaries")
-        corrections = tuple(_read_only(_check_unitary(u).copy()) for u in self.corrections)
+        corrections = tuple(self.corrections) if np.iterable(self.corrections) else ()
+        if len(corrections) != 4:
+            raise ValueError("corrections must be a sequence of 4 qubit unitaries")
+        corrections = tuple(_read_only(_single(_check_unitary(u)).copy()) for u in corrections)
         operators = _read_only(
             np.array(
                 [

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entport.axioms import check_c1, check_c2, check_c3, sample_lgm_cc
-from entport.cli import SweepGrid, main
+from entport.axioms import LgmCcFamily, check_c1, check_c2, check_c3, sample_lgm_cc
+from entport.cli import SweepGrid, cmd_sweep, compare, main
 from entport.entanglement import (
     entropy_of_entanglement,
     entropy_vs_negativity_curve,
@@ -447,6 +447,60 @@ def test_form_entry_points_reject_what_is_not_a_form(name, bad):
         FORM_ENTRY_POINTS[name](bad)
 
 
+# Each argument, other than a form, that takes a package object or a sequence of
+# matrices, with it replaced by ``x``, and a plain matrix that is not one; the key
+# names the argument and its callable.
+TYPE_GATES = {
+    "grid compare": (compare, np.eye(2)),
+    "grid cmd_sweep": (lambda x: cmd_sweep(x, "sweep.csv"), np.eye(2)),
+    "channel simulate": (lambda x: simulate(seed_state(0.5), x), werner_state(0.5)),
+    "channel fidelity_general": (lambda x: fidelity_general(seed_state(0.5), x), werner_state(0.5)),
+    "channel final_state_closed_form": (
+        lambda x: final_state_closed_form(hs_decompose(seed_state(0.5)), x),
+        werner_state(0.5),
+    ),
+    "strategy simulate": (lambda x: simulate(seed_state(0.5), WernerChannel(0.5), x), ID2),
+    "strategy fidelity_general": (
+        lambda x: fidelity_general(seed_state(0.5), WernerChannel(0.5), x),
+        ID2,
+    ),
+    "corrections BobStrategy": (BobStrategy, ID2),
+    "operators LgmCcFamily": (LgmCcFamily, np.eye(4)),
+    "p_matrix BellOutcome": (lambda x: BellOutcome(0, x, ID2), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", TYPE_GATES)
+@pytest.mark.parametrize("kind", ["object", "int", "matrix"])
+def test_type_gates_reject_what_is_not_their_type(name, kind, tmp_path, monkeypatch):
+    run, matrix = TYPE_GATES[name]
+    argument = name.split()[0]
+    monkeypatch.chdir(tmp_path)  # where cmd_sweep would write
+    with pytest.raises(ValueError, match=f"^{argument} must "):
+        run({"object": object(), "int": 5, "matrix": matrix}[kind])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bell_outcome_holds_one_finite_sign_matrix():
+    # A stack of the right sign matrices broadcasts through the rotation test.
+    stack = np.stack([BELL_SIGN_MATRICES[0]] * 2)
+    message = re.escape("p_matrix must be one matrix, got a stack of shape (2, 3, 3)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BellOutcome(0, stack, ID2)
+    with pytest.raises(ValueError, match="^correction does not rotate by -P_alpha$"):
+        BellOutcome(0, np.full((3, 3), math.nan), ID2)
+
+
+@pytest.mark.parametrize(
+    "operators",
+    [[], [ID2], [(ID2,)], [(np.stack([ID2, ID2]),) * 2]],
+    ids=["empty", "no pair", "one of a pair", "pair of stacks"],
+)
+def test_a_measurement_family_takes_pairs_of_qubit_operators(operators):
+    with pytest.raises(ValueError, match="^operators must "):
+        LgmCcFamily(operators)
+
+
 # Each entry point that takes a qubit unitary, with one replaced by ``u``.
 UNITARY_ENTRY_POINTS = {
     "rotation_from_unitary": rotation_from_unitary,
@@ -468,6 +522,13 @@ UNITARY_ENTRY_POINTS = {
 def test_unitary_entry_points_reject_what_is_not_a_qubit_unitary(name, bad, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         UNITARY_ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("name", ["rotation_from_unitary", "BobStrategy"])
+def test_one_unitary_entry_points_reject_a_stack(name):
+    message = re.escape("expected one matrix, got a stack of shape (2, 2, 2)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UNITARY_ENTRY_POINTS[name](np.stack([ID2, ID2]))
 
 
 # The axiom checks with every argument but the seed fixed.
@@ -646,7 +707,11 @@ BOUNDARY = {
     ),
     "states.SeedParams": ((SCALAR_ENTRY_POINTS, "SeedParams"),),
     "states.WernerChannel": ((SCALAR_ENTRY_POINTS, "WernerChannel"),),
-    "states.BellOutcome": ((COUNTS, "alpha BellOutcome"),),
+    "states.BellOutcome": (
+        (COUNTS, "alpha BellOutcome"),
+        (TYPE_GATES, "p_matrix BellOutcome"),
+        test_a_bell_outcome_holds_one_finite_sign_matrix,
+    ),
     "states.bell_outcome": ((COUNTS, "alpha bell_outcome"),),
     "states.hs_compose_stack": (
         (ARRAY_ENTRY_POINTS, "a hs_compose_stack"),
@@ -671,7 +736,10 @@ BOUNDARY = {
         test_werner_state_rejects_bad_phi,
     ),
     "states.bell_projector": ((COUNTS, "alpha bell_projector"),),
-    "states.rotation_from_unitary": ((UNITARY_ENTRY_POINTS, "rotation_from_unitary"),),
+    "states.rotation_from_unitary": (
+        (UNITARY_ENTRY_POINTS, "rotation_from_unitary"),
+        test_one_unitary_entry_points_reject_a_stack,
+    ),
     "states.random_product_state": ((SAMPLERS, "random_product_state"),),
     "states.qubit_states": (
         (ARRAY_ENTRY_POINTS, "r qubit_states"),
@@ -696,12 +764,18 @@ BOUNDARY = {
     "information.information_decomposition": (
         (MATRIX_ENTRY_POINTS, "information_decomposition"),
     ),
-    "teleport.BobStrategy": ((UNITARY_ENTRY_POINTS, "BobStrategy"),),
+    "teleport.BobStrategy": (
+        (UNITARY_ENTRY_POINTS, "BobStrategy"),
+        (TYPE_GATES, "corrections BobStrategy"),
+        test_one_unitary_entry_points_reject_a_stack,
+    ),
     "teleport.optimal_strategy": "it takes no arguments",
     "teleport.TeleportationReport": RECORD,
     "teleport.GridReport": RECORD,
     "teleport.simulate": (
         (MATRIX_ENTRY_POINTS, "simulate"),
+        (TYPE_GATES, "channel simulate"),
+        (TYPE_GATES, "strategy simulate"),
         test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy,
     ),
     "teleport.simulate_grid": (
@@ -710,9 +784,14 @@ BOUNDARY = {
     ),
     "teleport.final_state_closed_form": (
         (FORM_ENTRY_POINTS, "form0 final_state_closed_form"),
+        (TYPE_GATES, "channel final_state_closed_form"),
         test_final_state_closed_form_rejects_a_channel_that_is_not_a_werner_channel,
     ),
-    "teleport.fidelity_general": (test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy,),
+    "teleport.fidelity_general": (
+        (TYPE_GATES, "channel fidelity_general"),
+        (TYPE_GATES, "strategy fidelity_general"),
+        test_simulation_rejects_a_strategy_that_is_not_a_bob_strategy,
+    ),
     **{
         f"teleport.{f.__name__}": (
             (SCALAR_ENTRY_POINTS, f"{f.__name__}(first)"),
@@ -721,8 +800,10 @@ BOUNDARY = {
         )
         for f in CLOSED_FORMS
     },
-    "axioms.LgmCcFamily": "its bad families, an empty one and an incomplete one, are rows of "
-    "tests/test_axioms.py::TestSampleLgmCc::test_family_rejects_incomplete_operators",
+    "axioms.LgmCcFamily": (
+        (TYPE_GATES, "operators LgmCcFamily"),
+        test_a_measurement_family_takes_pairs_of_qubit_operators,
+    ),
     "axioms.AxiomReport": RECORD,
     "axioms.sample_lgm_cc": ((SAMPLERS, "sample_lgm_cc"), (COUNTS, "branches sample_lgm_cc")),
     "axioms.check_c1": ((AXIOM_CHECKS, "C1"), (COUNTS, "trials C1")),
@@ -739,9 +820,9 @@ BOUNDARY = {
         test_cli_rejects_a_range_count_that_is_not_an_integer,
         test_cli_names_the_field_that_is_not_a_number,
     ),
-    "cli.compare": "it takes a SweepGrid, whose axes are checked when it is built",
-    "cli.cmd_sweep": "it takes a SweepGrid, whose axes are checked when it is built; "
-    "tests/test_cli.py rejects a format other than csv or json",
+    "cli.compare": ((TYPE_GATES, "grid compare"),),
+    # tests/test_cli.py rejects a format other than csv or json.
+    "cli.cmd_sweep": ((TYPE_GATES, "grid cmd_sweep"),),
     "cli.cmd_verify": "it hands its counts and seed to check_c3 before anything runs, "
     "whose rows are above",
     "cli.cmd_curve": "it hands its points to entropy_vs_negativity_curve, whose row is above, "
@@ -765,6 +846,20 @@ def public_callables():
                     yield f"{name}.{attribute}"
 
 
+def typed_arguments(names):
+    """``argument callable`` of each parameter of ``names`` annotated with a package type.
+
+    The annotations are strings: the modules use ``from __future__ import annotations``.
+    """
+    typed = re.compile(r"\b(SweepGrid|WernerChannel|BobStrategy|HilbertSchmidtForm)\b")
+    for name in names:
+        module, attribute = name.split(".")
+        value = getattr(importlib.import_module(f"entport.{module}"), attribute)
+        for parameter in inspect.signature(value).parameters.values():
+            if typed.search(str(parameter.annotation)):
+                yield f"{parameter.name} {attribute}"
+
+
 def test_every_public_callable_has_bad_input_rows_or_a_reason():
     names = set(public_callables())
     # The scan sees what it should: a class, a kernel function and the CLI.
@@ -781,3 +876,7 @@ def test_every_public_callable_has_bad_input_rows_or_a_reason():
             else:
                 table, key = row
                 assert key in table, (name, key)
+    # A new argument of a package type cannot skip its type check unseen.
+    typed = set(typed_arguments(names))
+    assert {"grid compare", "strategy simulate", "form hs_compose"} <= typed  # the scan sees them
+    assert sorted(typed - TYPE_GATES.keys() - FORM_ENTRY_POINTS.keys()) == []

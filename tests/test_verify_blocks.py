@@ -1,8 +1,9 @@
-"""The axiom suites' bit-identical shortcuts: word seeds, stacked C1 mixtures, any block size.
+"""The axiom suites' bit-identical shortcuts: one-word seeds, padded C1 mixtures, any block size.
 
-Each trial's generator is seeded with the ``uint32`` words numpy would make
-of ``[seed, check_tag, trial]``; C1's ragged mixtures are summed as one
-stack; and a check's report does not depend on how its trials are blocked.
+Each trial's generator is the one of ``default_rng([seed, check_tag, trial])``,
+seeded with one ``uint32`` array when every int fits one word; C1's mixtures
+of 2 to 4 terms are summed as one zero-padded stack; and a check's report
+does not depend on how its trials are blocked.
 """
 
 import numpy as np
