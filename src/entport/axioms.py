@@ -120,11 +120,12 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
 def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomReport:
     """Check ``C<tag>`` over ``trials`` trials: the trial driver of every suite.
 
-    ``matrices()`` is called between the ``trials`` and ``seed`` gates, so a
-    check gates its own counts in that order; it returns the matrices one
-    trial evaluates.  Blocks of consecutive trials hold at most
-    ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256 branches or more
-    fills a block), so memory does not grow with the trial count.
+    ``matrices`` is the number of matrices one trial evaluates; a check
+    with counts of its own gates them after ``trials`` and before calling
+    this, so the ``seed`` gate comes last.  Blocks of consecutive trials
+    hold at most ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256
+    branches or more fills a block), so memory does not grow with the trial
+    count.
 
     In each block, every trial first makes its generator calls:
     ``draw(gen)`` makes them on trial ``t``'s ``_generator(seed, tag, t)``,
@@ -159,7 +160,7 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     is the clamp: a run whose violations are all negative reports 0.0.
     """
     trials = _check_count("trials", trials, 1, MAX_TRIALS)
-    step = max(1, STACK_BLOCK // matrices())
+    step = max(1, STACK_BLOCK // matrices)
     _check_seed(seed)
     worst = 0.0
     for start in range(0, trials, step):
@@ -324,7 +325,7 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
     Per trial: a product state, a mixture of 2 to 4 more product states,
     and a locally rotated seed state with ``c0`` (at most 7 matrices).
     """
-    return _run_trials(1, trials, seed, lambda: 7, _draw_c1, _c1_violations)
+    return _run_trials(1, trials, seed, 7, _draw_c1, _c1_violations)
 
 
 def _c2_violations(states, z) -> np.ndarray:
@@ -341,7 +342,7 @@ def check_c2(trials: int, seed: int) -> AxiomReport:
     def draw(gen):
         return _draw_test_state(gen), gen.standard_normal(8)
 
-    return _run_trials(2, trials, seed, lambda: 2, draw, _c2_violations)
+    return _run_trials(2, trials, seed, 2, draw, _c2_violations)
 
 
 def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
@@ -352,12 +353,9 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     probability lies below ``BRANCH_PROB_FLOOR`` are skipped and counted:
     each holds its trial's input state in the stack and weighs nothing.
     """
+    trials = _check_count("trials", trials, 1, MAX_TRIALS)
+    branches = _check_count("branches", branches, 1, MAX_BRANCHES)
     skipped = 0
-
-    def matrices():
-        nonlocal branches
-        branches = _check_count("branches", branches, 1, MAX_BRANCHES)
-        return branches + 1
 
     def draw(gen):
         return _draw_test_state(gen), _draw_lgm_cc(gen, branches)
@@ -381,6 +379,6 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
         averaged = np.cumsum(weighted, axis=-1)[:, -1]
         return averaged - values[:, 0]
 
-    report = _run_trials(3, trials, seed, matrices, draw, violations)
+    report = _run_trials(3, trials, seed, branches + 1, draw, violations)
     report.skip_rate = skipped / (report.trials * branches)
     return report

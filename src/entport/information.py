@@ -84,7 +84,7 @@ def total_information(rho: np.ndarray) -> float:
     the state only through its purity: ``2 Tr(rho^2) - 1`` for one qubit,
     ``(2/3)(4 Tr(rho^2) - 1)`` for two.
     """
-    rho = np.asarray(rho)
+    rho = _as_numbers("matrix entries", rho, real=False)
     if rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 density matrix, got {rho.shape}")
     rho = check_density_matrix(rho, dim=rho.shape[0])

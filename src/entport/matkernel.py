@@ -14,9 +14,10 @@ cores ``_partial_trace``, ``_partial_transpose``, ``_herm_eigvals`` and
 ``_purities`` (and ``_kron``, behind ``tensor``) work on input that is
 already validated and check nothing; ``partial_trace``,
 ``partial_transpose`` and ``purity`` validate, then call them.
+``_kron`` is the package's one Kronecker product; ``np.kron`` is not called.
 ``_single`` is the gate of the entry points that take one matrix and not a
 stack, ``_check_count`` the gate of every integer count or index, and
-``_as_numbers`` the gate of every array argument's dtype and item shape.
+``_as_numbers`` the gate of every array argument's nesting, dtype and item shape.
 ``_reject`` is the one way a stack item is rejected: every check of a
 stack, here and in the other modules, hands it the items that fail, and it
 raises the :class:`StackItemError` that names the first of them.
@@ -100,9 +101,13 @@ def _as_numbers(name: str, values, item: tuple[int, ...] = (), real: bool = True
     (string, object, or complex where real numbers are expected) is a
     ``ValueError`` naming the argument, raised before numpy would drop an
     imaginary part or parse a string.  So is a shape that does not end in
-    ``item``, such as a pair where triples are expected.
+    ``item``, such as a pair where triples are expected, and so is a ragged
+    nesting, such as a pair next to a triple.
     """
-    array = np.asarray(values)
+    try:
+        array = np.asarray(values)
+    except ValueError as error:  # numpy's own message names no argument
+        raise ValueError(f"{name} must be a regular array, got a ragged nesting") from error
     if array.dtype.kind not in ("biuf" if real else "biufc"):
         kind = "real numbers" if real else "numbers"
         raise ValueError(f"{name} must be {kind}, got dtype {array.dtype}")
@@ -138,6 +143,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two square matrices, or item by item of two stacks, without checks.
 
+    The package's one Kronecker product: every tensor product in it, the
+    module constants and the strategy operators included, is built here.
     The same broadcast product that ``np.kron`` forms, so each result is
     bit-for-bit equal to it, without its Python-level ``expand_dims`` calls.
     The leading dimensions of ``(..., d, d)`` stacks broadcast.

@@ -41,12 +41,15 @@ SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 #: Pauli matrices in project-wide axis order (x, y, z).
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+#: The Pauli matrices as one read-only ``(3, 2, 2)`` stack.
+_PAULI_STACK = _read_only(np.array(PAULIS))
+
 #: Pauli-product basis of two-qubit operators, built once and read-only:
 #: ``PAULI_A[n] = sigma_n (x) 1``, ``PAULI_B[n] = 1 (x) sigma_n`` and
 #: ``PAULI_AB[n][m] = sigma_n (x) sigma_m``.
-PAULI_A = tuple(_read_only(np.kron(p, ID2)) for p in PAULIS)
-PAULI_B = tuple(_read_only(np.kron(ID2, p)) for p in PAULIS)
-PAULI_AB = tuple(tuple(_read_only(np.kron(pn, pm)) for pm in PAULIS) for pn in PAULIS)
+PAULI_A = tuple(_read_only(_kron(p, ID2)) for p in PAULIS)
+PAULI_B = tuple(_read_only(_kron(ID2, p)) for p in PAULIS)
+PAULI_AB = tuple(tuple(_read_only(_kron(pn, pm)) for pm in PAULIS) for pn in PAULIS)
 
 #: Sign patterns of the four Bell projectors in the Pauli expansion.
 #: Index 0 is the singlet; 1, 2, 3 are the remaining Bell states.
@@ -96,13 +99,18 @@ def _check_number(name: str, x, lo: float, hi: float) -> float:
 
     Accepts Python and numpy numbers and 0-d arrays; anything else (an array
     of several numbers, a string, a complex number) is a ``ValueError``, as
-    is NaN or a value outside [lo, hi].
+    is NaN or a value outside [lo, hi].  An int or ``Fraction`` beyond the
+    float range counts as the infinity of its sign, so it is out of range.
     """
     value = x[()] if isinstance(x, np.ndarray) else x
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a single real number, got {x!r}")
     # float() first: a Fraction, or an int beyond int64, is an object array.
-    return float(_check_range(name, float(value), lo, hi))
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.inf if value > 0 else -np.inf
+    return float(_check_range(name, number, lo, hi))
 
 
 def _check_seed(seed) -> None:
@@ -451,9 +459,11 @@ def werner_state(phi: float) -> np.ndarray:
     return _werner_states(np.array(_check_number("phi", phi, -1.0, 1.0)))
 
 
-#: The four Bell projectors, built once and read-only; index 0 is the singlet.
-_BELL_PROJECTORS = tuple(
-    _read_only(_hs_compose_stack(np.zeros(3), np.zeros(3), signs)) for signs in BELL_SIGN_MATRICES
+#: The four Bell projectors as one read-only ``(4, 4, 4)`` stack; index 0 is
+#: the singlet.  Built once by one stacked :func:`hs_compose_stack`, each item
+#: bit for bit as it would be alone.
+_BELL_PROJECTORS = _read_only(
+    _hs_compose_stack(np.zeros((4, 3)), np.zeros((4, 3)), np.array(BELL_SIGN_MATRICES))
 )
 
 
@@ -468,15 +478,12 @@ def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
     Returns the real 3x3 matrix ``O`` with
     ``u (a . sigma) u^dagger = (O^T a) . sigma`` for every real ``a``,
     i.e. ``O[k, n] = Re Tr[sigma_n u sigma_k u^dagger] / 2``.  ``O`` is
-    orthogonal with determinant +1.
+    orthogonal with determinant +1.  The three conjugated Paulis are one
+    stacked product, and the nine traces one ``(3, 3)`` stack of products.
     """
     u = _single(_check_unitary(u))
-    o = np.empty((3, 3))
-    for k in range(3):
-        conjugated = u @ PAULIS[k] @ adjoint(u)
-        for n in range(3):
-            o[k, n] = np.trace(PAULIS[n] @ conjugated).real / 2.0
-    return o
+    conjugated = u @ _PAULI_STACK @ adjoint(u)
+    return (_PAULI_STACK[None] @ conjugated[:, None]).trace(axis1=-2, axis2=-1).real / 2.0
 
 
 def random_product_state(rng) -> np.ndarray:

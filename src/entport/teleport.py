@@ -25,7 +25,7 @@ import numpy as np
 
 from .entanglement import _negativities
 from .information import InformationReport, _information_decompositions
-from .matkernel import STACK_BLOCK, _nonnegative, _single, adjoint, check_density_matrix
+from .matkernel import STACK_BLOCK, _kron, _nonnegative, _single, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
@@ -39,7 +39,6 @@ from .states import (
     _seed_states,
     _werner_f,
     _werner_states,
-    bell_projector,
 )
 
 #: Points per block of :func:`simulate_grid`.  A point holds (4, 8, 8)
@@ -71,8 +70,9 @@ class BobStrategy:
     The corrections are stored as read-only copies, and
     ``operators[alpha]`` is the 16x16 operator ``1 (x) P_alpha (x) U_alpha``
     on particles (1, 2, 3, 4).  ``operators`` is one read-only
-    ``(4, 16, 16)`` stack, built once from the corrections when the
-    strategy is created.
+    ``(4, 16, 16)`` stack, built once when the strategy is created as one
+    stacked Kronecker product of the Bell projector stack and the stacked
+    corrections.
     """
 
     corrections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -83,14 +83,7 @@ class BobStrategy:
         if len(corrections) != 4:
             raise ValueError("corrections must be a sequence of 4 qubit unitaries")
         corrections = tuple(_read_only(_single(_check_unitary(u)).copy()) for u in corrections)
-        operators = _read_only(
-            np.array(
-                [
-                    np.kron(np.kron(ID2, bell_projector(alpha)), u)
-                    for alpha, u in enumerate(corrections)
-                ]
-            )
-        )
+        operators = _read_only(_kron(_kron(ID2, _BELL_PROJECTORS), np.array(corrections)))
         object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "operators", operators)
 
@@ -154,9 +147,10 @@ class _Protocol(NamedTuple):
 
 #: For each Bell outcome, the 8 indices (a, b, c, d) of particles (1, 2, 3, 4),
 #: ascending, with (b, c) in the support of its projector: the only rows and
-#: columns where ``1 (x) P_alpha (x) U`` is nonzero, whatever the unitary U.
+#: columns where ``1 (x) P_alpha (x) U`` is nonzero, whatever the unitary U:
+#: the nonzero diagonal indices of each item of the stack ``1 (x) P_alpha (x) 1``.
 _SUPPORT = _read_only(
-    np.array([np.flatnonzero(np.kron(np.kron(ID2, p), ID2).diagonal()) for p in _BELL_PROJECTORS])
+    np.nonzero(_kron(_kron(ID2, _BELL_PROJECTORS), ID2).diagonal(0, -2, -1))[1].reshape(4, 8)
 )
 
 

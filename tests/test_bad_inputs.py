@@ -12,6 +12,7 @@ import inspect
 import math
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,24 @@ def test_scalar_entry_points_reject_what_is_not_a_number(name, bad):
         SCALAR_ENTRY_POINTS[name](bad)
 
 
+def replaced_parameter(name: str) -> str:
+    """The parameter of the entry point ``SCALAR_ENTRY_POINTS[name]`` that ``x`` replaces."""
+    function, _, argument = name.partition("(")
+    return list(inspect.signature(globals()[function]).parameters)[argument == "second)"]
+
+
+@pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "huge", [10**400, -(10**400), Fraction(10**400)], ids=["int", "-int", "Fraction"]
+)
+def test_scalar_entry_points_reject_a_number_beyond_the_float_range(name, huge):
+    # float() of such a number raises OverflowError; the gate reads it as an infinity.
+    sign = "" if huge > 0 else "-"
+    message = rf"^{replaced_parameter(name)} must lie in \[-?[01], 1\], got {sign}inf$"
+    with pytest.raises(ValueError, match=message):
+        SCALAR_ENTRY_POINTS[name](huge)
+
+
 # Each entry point that takes an array of parameter values, with one parameter
 # replaced by ``x`` and the others fixed; the key names that parameter.
 ARRAY_ENTRY_POINTS = {
@@ -335,6 +354,34 @@ def test_array_entry_points_reject_what_is_not_a_real_number(name, bad):
     parameter = name.split()[0]
     with pytest.raises(ValueError, match=f"^{parameter} must be real numbers, got dtype "):
         ARRAY_ENTRY_POINTS[name](bad)
+
+
+RAGGED = "must be a regular array, got a ragged nesting"
+
+
+@pytest.mark.parametrize("name", ARRAY_ENTRY_POINTS)
+def test_array_entry_points_name_a_ragged_nesting(name):
+    # numpy's own message for it names no argument.
+    parameter = name.split()[0]
+    with pytest.raises(ValueError, match=f"^{parameter} {RAGGED}$"):
+        ARRAY_ENTRY_POINTS[name]([[0.3, 0.3, 0.3], [0.3]])
+
+
+@pytest.mark.parametrize("name", KERNEL_ENTRY_POINTS)
+def test_matrix_entry_points_name_a_ragged_nesting(name):
+    ragged = [[1, 0, 0, 0], [0]]
+    # The negativities row stacks its argument with numpy, which refuses a
+    # ragged one before the package sees it; so it gets a ragged stack itself.
+    entry = KERNEL_ENTRY_POINTS[name]
+    if name == "negativities":
+        entry, ragged = negativities, [seed_state(0.5), ragged]
+    with pytest.raises(ValueError, match=f"^matrix entries {RAGGED}$"):
+        entry(ragged)
+
+
+def test_a_measurement_family_names_a_ragged_nesting():
+    with pytest.raises(ValueError, match=f"^operators {RAGGED}$"):
+        LgmCcFamily([(ID2, np.stack([ID2, ID2]))])
 
 
 # The public stack builders with a stack outside their domain, as

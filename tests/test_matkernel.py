@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,17 @@ class TestTensor:
             tensor(np.eye(2), np.eye(4))
         with pytest.raises(ValueError):
             tensor(np.eye(4), np.eye(4).reshape(2, 8))
+
+    def test_kron_is_the_one_kronecker_product(self):
+        # A second Kronecker product would be a second copy of the formula and
+        # of its bit reference; docstrings name ``np.kron`` without a call.
+        pattern = re.compile(r"np\.kron\(")
+        assert pattern.search("np.kron(a, b)")  # the scan sees what it looks for
+        found = []
+        for path in sorted((Path(__file__).parent.parent / "src" / "entport").glob("*.py")):
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                found += [f"{path.name}:{number}: {line.strip()}"] if pattern.search(line) else []
+        assert found == []
 
 
 class TestPartialTrace:

@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 from entport.entanglement import negativity
 from entport.information import information_decomposition
 from entport.states import (
+    _BELL_PROJECTORS,
+    BELL_SIGN_MATRICES,
     BOB_CORRECTIONS,
     ID2,
     SIGMA_X,
     WernerChannel,
     bell_projector,
+    hs_compose_stack,
     hs_decompose,
     random_local_unitary,
     rotated_pure_state,
     seed_state,
 )
 from entport.teleport import (
+    _SUPPORT,
     BobStrategy,
     correlation_info_from_entanglement,
     fidelity_closed_form,
@@ -121,6 +125,31 @@ class TestSimulate:
             expected = np.kron(np.kron(ID2, bell_projector(alpha)), strategy.corrections[alpha])
             assert np.array_equal(op, expected)
             assert not op.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_strategy_operators_on_haar_random_corrections_match_the_per_outcome_kron(self, seed):
+        gen = np.random.default_rng(seed)
+        corrections = tuple(random_local_unitary(gen) for _ in range(4))
+        operators = BobStrategy(corrections).operators
+        assert operators.shape == (4, 16, 16) and not operators.flags.writeable
+        for alpha, u in enumerate(corrections):
+            expected = np.kron(np.kron(ID2, bell_projector(alpha)), u)
+            assert operators[alpha].tobytes() == expected.tobytes()
+
+    def test_support_is_the_nonzero_diagonal_of_each_projector_term(self):
+        expected = [
+            np.flatnonzero(np.kron(np.kron(ID2, bell_projector(alpha)), ID2).diagonal())
+            for alpha in range(4)
+        ]
+        assert _SUPPORT.dtype == np.intp and not _SUPPORT.flags.writeable
+        assert _SUPPORT.tobytes() == np.array(expected).tobytes()
+
+    def test_bell_projector_stack_is_read_only_and_composed_item_by_item(self):
+        assert _BELL_PROJECTORS.shape == (4, 4, 4) and not _BELL_PROJECTORS.flags.writeable
+        for alpha, signs in enumerate(BELL_SIGN_MATRICES):
+            alone = hs_compose_stack(np.zeros(3), np.zeros(3), signs)
+            assert _BELL_PROJECTORS[alpha].tobytes() == alone.tobytes()
+            assert bell_projector(alpha).tobytes() == alone.tobytes()
 
     def test_strategy_keeps_its_own_read_only_corrections(self):
         u = SIGMA_X.copy()
