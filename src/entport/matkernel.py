@@ -102,12 +102,17 @@ def _as_numbers(name: str, values, item: tuple[int, ...] = (), real: bool = True
     ``ValueError`` naming the argument, raised before numpy would drop an
     imaginary part or parse a string.  So is a shape that does not end in
     ``item``, such as a pair where triples are expected, and so is a ragged
-    nesting, such as a pair next to a triple.
+    nesting, such as a pair next to a triple.  numpy holds a ``Fraction`` or
+    an int beyond 64 bits in an object array; one whose items are all
+    ``numbers.Real`` is read item by item as the scalar gate reads a number,
+    a value beyond the float range as the infinity of its sign.
     """
     try:
         array = np.asarray(values)
     except ValueError as error:  # numpy's own message names no argument
         raise ValueError(f"{name} must be a regular array, got a ragged nesting") from error
+    if array.dtype == object and all(isinstance(x, numbers.Real) for x in array.flat):
+        array = np.array([_as_float(x) for x in array.flat]).reshape(array.shape)
     if array.dtype.kind not in ("biuf" if real else "biufc"):
         kind = "real numbers" if real else "numbers"
         raise ValueError(f"{name} must be {kind}, got dtype {array.dtype}")
@@ -115,6 +120,14 @@ def _as_numbers(name: str, values, item: tuple[int, ...] = (), real: bool = True
         shape = ", ".join(["...", *map(str, item)])
         raise ValueError(f"{name} must have shape ({shape}), got {array.shape}")
     return array.astype(float if real else complex, copy=False)
+
+
+def _as_float(x: numbers.Real) -> float:
+    """``float(x)``, or the infinity of its sign where ``x`` is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -99,18 +99,14 @@ def _check_number(name: str, x, lo: float, hi: float) -> float:
 
     Accepts Python and numpy numbers and 0-d arrays; anything else (an array
     of several numbers, a string, a complex number) is a ``ValueError``, as
-    is NaN or a value outside [lo, hi].  An int or ``Fraction`` beyond the
+    is NaN or a value outside [lo, hi].  The number is read as the array
+    gate reads it (see :func:`_as_numbers`): an int or ``Fraction`` beyond the
     float range counts as the infinity of its sign, so it is out of range.
     """
     value = x[()] if isinstance(x, np.ndarray) else x
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a single real number, got {x!r}")
-    # float() first: a Fraction, or an int beyond int64, is an object array.
-    try:
-        number = float(value)
-    except OverflowError:
-        number = np.inf if value > 0 else -np.inf
-    return float(_check_range(name, number, lo, hi))
+    return float(_check_range(name, value, lo, hi))
 
 
 def _check_seed(seed) -> None:

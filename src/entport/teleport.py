@@ -63,6 +63,22 @@ PROTOCOL_BLOCK = STACK_BLOCK // 16
 FINAL_ENTANGLEMENT_ATOL = 4 * np.finfo(float).eps
 
 
+#: For each Bell outcome, the 8 indices (a, b, c, d) of particles (1, 2, 3, 4),
+#: ascending, with (b, c) in the support of its projector: the only rows and
+#: columns where ``1 (x) P_alpha (x) U`` is nonzero, whatever the unitary U:
+#: the nonzero diagonal indices of each item of the stack ``1 (x) P_alpha (x) 1``.
+_SUPPORT = _read_only(
+    np.nonzero(_kron(_kron(ID2, _BELL_PROJECTORS), ID2).diagonal(0, -2, -1))[1].reshape(4, 8)
+)
+
+#: Where each outcome's 8x8 block of ``rho12 (x) w34`` reads an ``(n, 4, 4)``
+#: stack of ``rho12`` and of ``w34``: ``_SUPPORT``'s indices (a, b, c, d) are
+#: 4 (a, b) + (c, d), so its rows and columns split into those of each factor.
+_BLOCK_12, _BLOCK_34 = (
+    (slice(None), i[:, :, None], i[:, None, :]) for i in map(_read_only, divmod(_SUPPORT, 4))
+)
+
+
 @dataclass(frozen=True)
 class BobStrategy:
     """The receiver's correction unitary for each of the four Bell outcomes.
@@ -72,11 +88,15 @@ class BobStrategy:
     on particles (1, 2, 3, 4).  ``operators`` is one read-only
     ``(4, 16, 16)`` stack, built once when the strategy is created as one
     stacked Kronecker product of the Bell projector stack and the stacked
-    corrections.
+    corrections.  ``_support_blocks`` is the pair that :func:`_protocol`
+    applies: the ``(4, 8, 8)`` blocks ``operators[alpha]`` on the rows and
+    columns ``_SUPPORT[alpha]``, and their adjoint, read-only and built
+    once with ``operators``.
     """
 
     corrections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     operators: np.ndarray = field(init=False, repr=False, compare=False)
+    _support_blocks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         corrections = tuple(self.corrections) if np.iterable(self.corrections) else ()
@@ -84,8 +104,10 @@ class BobStrategy:
             raise ValueError("corrections must be a sequence of 4 qubit unitaries")
         corrections = tuple(_read_only(_single(_check_unitary(u)).copy()) for u in corrections)
         operators = _read_only(_kron(_kron(ID2, _BELL_PROJECTORS), np.array(corrections)))
+        ops = operators[np.arange(4)[:, None, None], _SUPPORT[:, :, None], _SUPPORT[:, None, :]]
         object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "_support_blocks", tuple(map(_read_only, (ops, adjoint(ops)))))
 
 
 def optimal_strategy() -> BobStrategy:
@@ -145,28 +167,21 @@ class _Protocol(NamedTuple):
     averaged_fidelity: np.ndarray  # (n,)
 
 
-#: For each Bell outcome, the 8 indices (a, b, c, d) of particles (1, 2, 3, 4),
-#: ascending, with (b, c) in the support of its projector: the only rows and
-#: columns where ``1 (x) P_alpha (x) U`` is nonzero, whatever the unitary U:
-#: the nonzero diagonal indices of each item of the stack ``1 (x) P_alpha (x) 1``.
-_SUPPORT = _read_only(
-    np.nonzero(_kron(_kron(ID2, _BELL_PROJECTORS), ID2).diagonal(0, -2, -1))[1].reshape(4, 8)
-)
-
-
 def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrategy) -> _Protocol:
     """The brute-force protocol on ``(n, 4, 4)`` stacks of inputs and channel states.
 
     Each outcome's ``op @ (rho12 (x) w34) @ op^dagger`` is formed on the
     8x8 block of ``_SUPPORT``, whose rows and columns are (a, s, d) with s
-    the support pair (b, c).  Index (a, b, c, d) is ``4 (a, b) + (c, d)``,
-    so the block of ``rho12 (x) w34`` is read straight from the entries of
-    ``rho12`` and ``w34``.  Each probability is the block's trace, and the
-    trace over particles (2, 3) adds its two terms s = 0, 1.  Every outcome
-    has probability exactly 1/4, whatever the input and the corrections (the
-    Werner channel's state on particle 3 is maximally mixed: Lee & Kim,
-    PRL 84, 4236, 2000), so none is dropped.  The result is the dense 16x16
-    computation bit for bit, sign of zero included:
+    the support pair (b, c); ``op`` and ``op^dagger`` are the strategy's
+    ``_support_blocks``.  Index (a, b, c, d) is ``4 (a, b) + (c, d)``, so
+    the block of ``rho12 (x) w34`` is read straight from the entries of
+    ``rho12`` and ``w34``, at ``_BLOCK_12`` and ``_BLOCK_34``.  Each
+    probability is the block's trace, and the trace over particles (2, 3)
+    adds its two terms s = 0, 1.  Every outcome has probability exactly 1/4,
+    whatever the input and the corrections (the Werner channel's state on
+    particle 3 is maximally mixed: Lee & Kim, PRL 84, 4236, 2000), so none
+    is dropped.  The result is the dense 16x16 computation bit for bit,
+    sign of zero included:
 
     - each block entry is the same one product of two numbers as in ``np.kron``;
     - the dropped rows and columns of ``op`` are zero, so they add only exact zeros;
@@ -184,10 +199,9 @@ def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrate
     are not validated here.
     """
     n = len(rho12)
-    rows, columns = _SUPPORT[:, :, None], _SUPPORT[:, None, :]
-    ops = strategy.operators[np.arange(4)[:, None, None], rows, columns]
-    big = rho12[:, rows // 4, columns // 4] * channel_states[:, rows % 4, columns % 4]
-    conditioned = ops @ big @ adjoint(ops)  # (n, 4, 8, 8)
+    ops, ops_h = strategy._support_blocks
+    big = rho12[_BLOCK_12] * channel_states[_BLOCK_34]
+    conditioned = ops @ big @ ops_h  # (n, 4, 8, 8)
     p = conditioned.trace(axis1=-2, axis2=-1).real
     conditioned /= p[..., None, None]
     t = conditioned.reshape(n, 4, 2, 2, 2, 2, 2, 2)

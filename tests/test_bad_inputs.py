@@ -12,6 +12,7 @@ import inspect
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from entport.states import (
     HilbertSchmidtForm,
     SeedParams,
     WernerChannel,
+    _check_number,
     bell_outcome,
     bell_projector,
     hs_compose,
@@ -354,6 +356,69 @@ def test_array_entry_points_reject_what_is_not_a_real_number(name, bad):
     parameter = name.split()[0]
     with pytest.raises(ValueError, match=f"^{parameter} must be real numbers, got dtype "):
         ARRAY_ENTRY_POINTS[name](bad)
+
+
+# Numbers that numpy holds in an object array, each with the float the scalar
+# gate reads it as: a Fraction, an int beyond 64 bits, and ints beyond the
+# float range, which count as the infinity of their sign.
+OBJECT_NUMBERS = {
+    "Fraction(1, 2)": (Fraction(1, 2), 0.5),
+    "2**64": (2**64, 2.0**64),
+    "10**400": (10**400, math.inf),
+    "-10**400": (-(10**400), -math.inf),
+}
+
+# The item shape each array entry point reads, where it is not a single number.
+ITEM_SHAPES = {
+    "probs observable_information": (2,),
+    "a HilbertSchmidtForm": (3,),
+    "c HilbertSchmidtForm": (3, 3),
+    "r qubit_states": (3,),
+    "a hs_compose_stack": (3,),
+}
+
+
+def holding(name: str, x):
+    """A nested list of the item shape of ``ARRAY_ENTRY_POINTS[name]``: ``x``, then zeros."""
+    array = np.zeros(ITEM_SHAPES.get(name, (1,)), dtype=object)
+    array.flat[0] = x
+    return array.tolist()
+
+
+def verdict(call):
+    """What ``call()`` gives: each array of its result as bytes, or the error message."""
+
+    def plain(value):
+        if isinstance(value, (tuple, list)):
+            return tuple(map(plain, value))
+        if hasattr(value, "__dict__"):
+            return type(value).__name__, plain(list(vars(value).values()))
+        array = np.asarray(value)
+        return array.dtype.str, array.shape, array.tobytes()
+
+    try:
+        return plain(call())
+    except ValueError as error:
+        return type(error).__name__, str(error)
+
+
+@pytest.mark.parametrize("name", ARRAY_ENTRY_POINTS)
+@pytest.mark.parametrize("number", OBJECT_NUMBERS)
+def test_array_entry_points_read_a_number_as_the_scalar_gate_does(name, number):
+    x, reading = OBJECT_NUMBERS[number]
+    assert _check_number("x", x, -math.inf, math.inf) == reading
+    entry = ARRAY_ENTRY_POINTS[name]
+    for given, read in ((x, reading), (holding(name, x), holding(name, reading))):
+        assert verdict(lambda: entry(given)) == verdict(lambda: entry(read))
+
+
+@pytest.mark.parametrize("name", ARRAY_ENTRY_POINTS)
+def test_array_entry_points_reject_a_decimal(name):
+    # A Decimal is not numbers.Real, so the object array holding it stays rejected.
+    message = f"^{name.split()[0]} must be real numbers, got dtype object$"
+    for bad in (Decimal("0.5"), holding(name, Decimal("0.5"))):
+        with pytest.raises(ValueError, match=message):
+            ARRAY_ENTRY_POINTS[name](bad)
 
 
 RAGGED = "must be a regular array, got a ragged nesting"
