@@ -120,12 +120,14 @@ def _generator(seed: int, check_tag: int, trial: int) -> np.random.Generator:
 def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomReport:
     """Check ``C<tag>`` over ``trials`` trials: the trial driver of every suite.
 
-    ``matrices`` is the number of matrices one trial evaluates; a check
-    with counts of its own gates them after ``trials`` and before calling
-    this, so the ``seed`` gate comes last.  Blocks of consecutive trials
-    hold at most ``STACK_BLOCK`` of them, or one trial (a C3 trial at 256
-    branches or more fills a block), so memory does not grow with the trial
-    count.
+    ``matrices`` is the number of 4x4 matrices one trial holds at the peak
+    of its block: the states, operators and stacks that ``violations``
+    builds for it, not only the states it evaluates.  A check with counts
+    of its own gates them after ``trials`` and before calling this, so the
+    ``seed`` gate comes last.  Blocks of consecutive trials hold at most
+    ``STACK_BLOCK`` matrices, or one trial (a C3 trial at 64 branches or
+    more fills a block), so the working set of every check has the same
+    bound and does not grow with the trial count.
 
     In each block, every trial first makes its generator calls:
     ``draw(gen)`` makes them on trial ``t``'s ``_generator(seed, tag, t)``,
@@ -323,9 +325,11 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
     """C1: separable states report zero, entangled pure states report |c0|.
 
     Per trial: a product state, a mixture of 2 to 4 more product states,
-    and a locally rotated seed state with ``c0`` (at most 7 matrices).
+    and a locally rotated seed state with ``c0``.  A trial holds at most 12
+    matrices: its 5 product states, the 4 padded terms of its mixture and
+    its 3 stacked states.
     """
-    return _run_trials(1, trials, seed, 7, _draw_c1, _c1_violations)
+    return _run_trials(1, trials, seed, 5 + 4 + 3, _draw_c1, _c1_violations)
 
 
 def _c2_violations(states, z) -> np.ndarray:
@@ -342,7 +346,8 @@ def check_c2(trials: int, seed: int) -> AxiomReport:
     def draw(gen):
         return _draw_test_state(gen), gen.standard_normal(8)
 
-    return _run_trials(2, trials, seed, 2, draw, _c2_violations)
+    # A trial holds its state, its local unitary and its rotated pair.
+    return _run_trials(2, trials, seed, 1 + 1 + 2, draw, _c2_violations)
 
 
 def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
@@ -379,6 +384,8 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
         averaged = np.cumsum(weighted, axis=-1)[:, -1]
         return averaged - values[:, 0]
 
-    report = _run_trials(3, trials, seed, branches + 1, draw, violations)
+    # A trial holds its input and, per branch, its operator and its mapped,
+    # normalised and stacked states.
+    report = _run_trials(3, trials, seed, 1 + 4 * branches, draw, violations)
     report.skip_rate = skipped / (report.trials * branches)
     return report

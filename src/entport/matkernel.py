@@ -47,11 +47,15 @@ TRACE_ATOL = 1e-10
 
 #: Stacked evaluations hold at most this many 4x4 matrices at once (or one
 #: item, where an item needs more), so peak memory does not grow with the
-#: number of items.  Measured on the 1,000-trial ``verify`` run in a fresh
-#: process: blocks of 512 matrices raised its peak resident memory from 38.1
-#: to 39.6 MiB over blocks of 128 and cut the time of its C1-C3 suites from
-#: 283 to 242 ms (medians of 11); blocks of 1,024 added 2.1 MiB more and took
-#: 238 ms.
+#: number of items.  That is 128 KiB of complex matrices.  The C1-C3 checks
+#: count the matrices one trial holds at the peak of its block (see
+#: ``axioms._run_trials``), the curve's entropies take this many states per
+#: block, the CSV writer formats this many numbers at a time, and
+#: ``teleport.PROTOCOL_BLOCK`` is derived from it.  Measured warm at 1,000
+#: trials, seed 7, on a shared 2-CPU host: C1, C2 and C3 peak at 317, 444
+#: and 388 KiB traced (538, 882 and 1,159 KiB when a trial counted only the
+#: matrices it evaluates), a whole ``verify`` at 469 KiB (1,160), and a warm
+#: ``verify`` makes a median of 7 minor page faults per run (1,960).
 STACK_BLOCK = 512
 
 

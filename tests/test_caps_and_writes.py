@@ -50,6 +50,24 @@ class TestTrialCap:
         small, large = peak(2_000), peak(20_000)
         assert large <= 1.1 * small, (small, large)
 
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: check_c1(1000, 7), lambda: check_c2(1000, 7), lambda: check_c3(1000, 2, 7)],
+        ids=["C1", "C2", "C3"],
+    )
+    def test_every_check_has_the_working_set_of_a_few_blocks(self, run):
+        # A block's trials hold at most STACK_BLOCK 4x4 complex matrices, so each
+        # check's peak stays within a few such stacks, whatever one trial evaluates.
+        run()  # first-call set-up inside numpy is not part of the peak
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_stack = STACK_BLOCK * 4 * 4 * np.dtype(complex).itemsize  # 128 KiB
+        assert peak <= 4 * one_stack, peak
+
 
 class TestGridCap:
     def test_cli_rejects_a_grid_over_the_cap(self, tmp_path, capsys):

@@ -88,19 +88,52 @@ def test_simulate_validates_its_input_once(calls):
     assert calls == {"check_density_matrix": 1, "as_operator": 1, "_check_hermitian": 1}
 
 
+# A C3 trial at 2 branches holds 1 + 4 * 2 matrices, so 100 trials take this many blocks.
+C3_BLOCK = entport.matkernel.STACK_BLOCK // (1 + 4 * 2)
+C3_BLOCKS = -(-100 // C3_BLOCK)
+
+
 @pytest.mark.parametrize(
     "run,expected",
     [
         (lambda: check_c1(100, 7), {}),
         (lambda: check_c2(100, 7), {}),
-        (lambda: check_c3(100, 2, 7), {"_check_unitary": 1}),
+        (lambda: check_c3(100, 2, 7), {"_check_unitary": C3_BLOCKS}),
     ],
     ids=["C1", "C2", "C3"],
 )
 def test_axiom_trials_are_validated_once(monkeypatch, run, expected):
     # The negativities' check_density_matrix validates every trial state, so the
-    # suites build them unchecked.  C3's one call checks the family unitaries of
-    # its one block, which would otherwise fail completeness first if NaN.
+    # suites build them unchecked.  C3 checks the family unitaries once per
+    # block, which would otherwise fail completeness first if NaN.
     calls = counted_calls(monkeypatch, entport.states, ("_check_unitary", "_check_range"))
     run()
     assert calls == expected
+
+
+def family_unitaries(trial: int) -> np.ndarray:
+    """The conditional unitaries of the family of C3 trial ``trial`` at seed 7, 2 branches."""
+    gen = entport.axioms._generator(7, 3, trial)
+    entport.axioms._draw_test_state(gen)
+    raw, _ = entport.axioms._draw_lgm_cc(gen, 2)
+    z = entport.axioms._lgm_cc_arrays(raw)[1]
+    return entport.states._su2_matrices(entport.states._su2_vectors(z))
+
+
+def test_c3_checks_each_familys_unitaries_once(monkeypatch):
+    checked = []
+    original = entport.states._check_unitary
+
+    def recorded(u, *args, **kwargs):
+        checked.append(np.array(u))
+        return original(u, *args, **kwargs)
+
+    monkeypatch.setattr(entport.axioms, "_check_unitary", recorded)
+    check_c3(100, 2, 7)
+    # One (trials, branches, 2, 2) stack per block, its trials in order: every
+    # trial's two unitaries are checked, none twice.
+    assert [u.shape for u in checked] == [
+        (min(C3_BLOCK, 100 - start), 2, 2, 2) for start in range(0, 100, C3_BLOCK)
+    ]
+    assert np.array_equal(np.concatenate(checked), [family_unitaries(t) for t in range(100)])
+

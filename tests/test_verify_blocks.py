@@ -11,7 +11,7 @@ import pytest
 
 import entport.axioms as axioms
 from entport.axioms import MAX_TRIALS, _generator, _mixtures, _product_states, _weight_rows
-from entport.axioms import check_c3
+from entport.axioms import check_c1, check_c2, check_c3
 from entport.states import _draw_ball
 
 
@@ -63,10 +63,34 @@ def test_stacked_mixtures_have_the_bits_of_python_sums(draws, seed):
     assert np.array_equal(np.signbit(stacked.imag), np.signbit(reference.imag))
 
 
-@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("block", [7, 8192])
 def test_c3_report_does_not_depend_on_blocks_smaller_than_a_trial(block, monkeypatch):
-    """600 branches need 601 matrices per trial: one trial per block at 7 and at
-    ``STACK_BLOCK``, all three trials in one block at 4,096."""
+    """A trial at 600 branches holds 1 + 4 * 600 = 2,401 matrices: one trial per
+    block at 7 and at ``STACK_BLOCK``, all three trials in one block at 8,192."""
     report = check_c3(3, 600, 5)
     monkeypatch.setattr(axioms, "STACK_BLOCK", block)
     assert check_c3(3, 600, 5) == report
+
+
+def report_bits(report) -> tuple:
+    """Every field of an ``AxiomReport``, its floats as their bits."""
+    return (
+        report.condition,
+        report.trials,
+        report.max_violation.hex(),
+        report.passed,
+        report.skip_rate.hex(),
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: check_c1(300, 7), lambda: check_c2(300, 7), lambda: check_c3(300, 2, 7)],
+    ids=["C1", "C2", "C3"],
+)
+def test_every_report_has_the_bits_of_any_block_size(run, monkeypatch):
+    reports = set()
+    for block in (7, 100, 512, 4096):
+        monkeypatch.setattr(axioms, "STACK_BLOCK", block)
+        reports.add(report_bits(run()))
+    assert len(reports) == 1, reports
