@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .entanglement import negativities
-from .matkernel import STACK_BLOCK, StackItemError, _as_numbers, _check_count, _kron, _reject
+from .matkernel import StackItemError, _as_numbers, _blocks, _check_count, _kron, _reject
 from .matkernel import adjoint, tensor
 from .states import (
     _as_generator,
@@ -124,10 +124,13 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     of its block: the states, operators and stacks that ``violations``
     builds for it, not only the states it evaluates.  A check with counts
     of its own gates them after ``trials`` and before calling this, so the
-    ``seed`` gate comes last.  Blocks of consecutive trials hold at most
-    ``STACK_BLOCK`` matrices, or one trial (a C3 trial at 64 branches or
-    more fills a block), so the working set of every check has the same
-    bound and does not grow with the trial count.
+    ``seed`` gate comes last.  The blocks of consecutive trials are
+    ``matkernel._blocks(trials, matrices)``: at most ``STACK_BLOCK``
+    matrices, or one trial (a C3 trial at 64 branches or more fills a
+    block), so the working set of every check has the same bound and does
+    not grow with the trial count.  The count leaves out the raw draws held
+    for the block, which are small next to a C2 or C3 trial's matrices but
+    about 2.1 KB per C1 trial, some 8 matrices' worth.
 
     In each block, every trial first makes its generator calls:
     ``draw(gen)`` makes them on trial ``t``'s ``_generator(seed, tag, t)``,
@@ -162,15 +165,14 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     is the clamp: a run whose violations are all negative reports 0.0.
     """
     trials = _check_count("trials", trials, 1, MAX_TRIALS)
-    step = max(1, STACK_BLOCK // matrices)
     _check_seed(seed)
     worst = 0.0
-    for start in range(0, trials, step):
-        draws = [draw(_generator(seed, tag, t)) for t in range(start, min(start + step, trials))]
+    for block in _blocks(trials, matrices):
+        draws = [draw(_generator(seed, tag, t)) for t in range(block.start, block.stop)]
         try:
             found = violations(*zip(*draws))
         except StackItemError as exc:
-            label = f"C{tag}, seed {seed}, trial {start + exc.index[0]}"
+            label = f"C{tag}, seed {seed}, trial {block.start + exc.index[0]}"
             raise ValueError(f"{label}: {exc.reason}") from exc
         worst = max(worst, *found.ravel().tolist())
     return AxiomReport(f"C{tag}", trials, worst, worst <= AXIOM_TOL)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .axioms import AXIOM_TOL, check_c1, check_c2, check_c3
 from .entanglement import _negativities, entropy_vs_negativity_curve
-from .matkernel import STACK_BLOCK, _check_count, _herm_eigvals, _partial_transpose
+from .matkernel import _blocks, _check_count, _herm_eigvals, _partial_transpose
 from .states import _check_range, _werner_ew, _werner_states
 from .teleport import _correlation_info, _entanglement, _fidelity, _information, simulate_grid
 
@@ -139,19 +139,18 @@ def _write_csv(
 ) -> None:
     """Write the header line, then ``rows`` lines of ``%.17g`` numbers, in blocks.
 
-    ``block(s)`` gives the numbers of the rows in slice ``s``, row by row.  Each
+    ``block(s)`` gives the numbers of the rows in slice ``s``, row by row.  The
+    slices are ``matkernel._blocks`` with a row counted as its numbers, so each
     block of up to ``STACK_BLOCK`` numbers is formatted by one ``%`` of a
-    repeated line template and written by one ``handle.write``, so the table is
-    never held as text.  Blocks of ``STACK_BLOCK`` rows rather than numbers
+    repeated line template and written by one ``handle.write``, and the table
+    is never held as text.  Blocks of ``STACK_BLOCK`` rows rather than numbers
     raised the peak resident memory of the 400-row entbench sweep by about
     0.1 MiB (40.0 against 39.9 MiB, five runs each on a shared 2-CPU host).
     """
     line = ",".join(["%.17g"] * len(header)) + "\n"
     handle.write(",".join(header) + "\n")
-    step = STACK_BLOCK // len(header)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        handle.write(line * (stop - start) % tuple(block(slice(start, stop))))
+    for s in _blocks(rows, len(header)):
+        handle.write(line * (s.stop - s.start) % tuple(block(s)))
 
 
 def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
@@ -389,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_merge_value_flags(argv))
+    for name, value in vars(args).items():  # argparse reads a lone "--" value as []
+        if isinstance(value, list):
+            _build_parser().error(f"argument --{name}: expected one value, got '--'")
     try:
         if args.command == "sweep":
             e0_values = list(DEFAULT_E0_GRID) if args.e0 is None else parse_values(args.e0)

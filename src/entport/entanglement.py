@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernel import (
-    STACK_BLOCK,
+    _blocks,
     _check_count,
     _herm_eigvals,
     _nonnegative,
@@ -129,8 +129,9 @@ def _seed_entropies(e: np.ndarray) -> np.ndarray:
     The seed states are built here from range-checked ``e``, so they are
     neither validated again nor checked for purity (on 200,001 points their
     purity is 1 within 2.2e-16, against ``PURITY_ATOL``): they go to
-    :func:`_pure_entropies`.  Blocks of ``STACK_BLOCK`` states keep peak
-    memory flat in the number of points.
+    :func:`_pure_entropies`.  Blocks of ``STACK_BLOCK`` states
+    (``matkernel._blocks`` at one matrix per state) keep peak memory flat
+    in the number of points.
     Measured on the 2,001 ``curve`` points in a fresh process on a shared
     2-CPU host, peak resident memory above one state per block (30.7 MiB):
     one stack of all points +0.7 MiB, blocks of 512 +0.0 MiB, blocks of 128
@@ -140,8 +141,7 @@ def _seed_entropies(e: np.ndarray) -> np.ndarray:
     against 1.0 ms in alternating processes.
     """
     out = np.empty(len(e))
-    for start in range(0, len(e), STACK_BLOCK):
-        block = slice(start, start + STACK_BLOCK)
+    for block in _blocks(len(e), 1):
         out[block] = _pure_entropies(_seed_states(e[block]))
     return out
 

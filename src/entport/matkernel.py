@@ -47,16 +47,32 @@ TRACE_ATOL = 1e-10
 
 #: Stacked evaluations hold at most this many 4x4 matrices at once (or one
 #: item, where an item needs more), so peak memory does not grow with the
-#: number of items.  That is 128 KiB of complex matrices.  The C1-C3 checks
-#: count the matrices one trial holds at the peak of its block (see
-#: ``axioms._run_trials``), the curve's entropies take this many states per
-#: block, the CSV writer formats this many numbers at a time, and
-#: ``teleport.PROTOCOL_BLOCK`` is derived from it.  Measured warm at 1,000
+#: number of items.  That is 128 KiB of complex matrices.  Its one reader is
+#: :func:`_blocks`, which every stacked loop iterates with the count one of
+#: its items holds: a C1-C3 trial the matrices it holds at the peak of its
+#: block (``axioms._run_trials``: C1 12, C2 4, C3 ``1 + 4 * branches``), a
+#: grid point of ``teleport.simulate_grid`` 16, a seed state of the curve's
+#: entropies 1, and a row of ``cli._write_csv`` its numbers (12 in a sweep, 2
+#: in a curve), so each block holds at most this many.  Measured warm at 1,000
 #: trials, seed 7, on a shared 2-CPU host: C1, C2 and C3 peak at 317, 444
 #: and 388 KiB traced (538, 882 and 1,159 KiB when a trial counted only the
 #: matrices it evaluates), a whole ``verify`` at 469 KiB (1,160), and a warm
 #: ``verify`` makes a median of 7 minor page faults per run (1,960).
 STACK_BLOCK = 512
+
+
+def _blocks(n: int, per_item: int):
+    """The consecutive slices of ``[0, n)``, of ``max(1, STACK_BLOCK // per_item)`` items or fewer.
+
+    The one block rule of every stacked loop: ``per_item`` is what one item
+    holds, in 4x4 matrices or in numbers, so a block holds at most
+    ``STACK_BLOCK`` of them, or one item where an item holds more.  A
+    generator, not a list: a C3 check at 1,024 branches runs one trial per
+    block, up to ``axioms.MAX_TRIALS`` of them.  ``STACK_BLOCK`` is read when
+    it is called.
+    """
+    step = max(1, STACK_BLOCK // per_item)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 class StackItemError(ValueError):

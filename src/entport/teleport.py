@@ -25,7 +25,7 @@ import numpy as np
 
 from .entanglement import _negativities
 from .information import InformationReport, _information_decompositions
-from .matkernel import STACK_BLOCK, _kron, _nonnegative, _single, adjoint, check_density_matrix
+from .matkernel import _blocks, _kron, _nonnegative, _single, adjoint, check_density_matrix
 from .states import (
     BOB_CORRECTIONS,
     ID2,
@@ -40,20 +40,6 @@ from .states import (
     _werner_f,
     _werner_states,
 )
-
-#: Points per block of :func:`simulate_grid`.  A point holds (4, 8, 8)
-#: outcome blocks of 256 entries, 16 times the entries of a 4x4 matrix, so a
-#: block holds about as much as a ``STACK_BLOCK`` of 4x4 matrices.  Measured
-#: with :func:`_protocol` on 400 random points in a fresh process on a shared
-#: 2-CPU host, peak resident memory above one point per block (35.8 MiB):
-#: +0.1 MiB at 8 points per block, +0.3 MiB at 32, +1.7 MiB at 128 and
-#: +4.8 MiB for all 400 at once.  :func:`simulate_grid` took 24 ms for the 400
-#: points at 8 points per block, 12 ms at 32, 12 ms at 128 and 11 ms at 400,
-#: and about 150 ms at one point per block (each the median of five
-#: processes' medians of 14).  After one warm-up call it made no minor page
-#: fault at 8 or 32 points per block, and about 1,000 per call at 128 and at
-#: 400.  Larger blocks save no time for more peak memory.
-PROTOCOL_BLOCK = STACK_BLOCK // 16
 
 #: Roundoff by which a final entanglement may exceed the channel entanglement.
 #: The transferred entanglement grows with ``e0`` up to E(1, ew) = ew, so an
@@ -252,17 +238,28 @@ def simulate_grid(e0, phi) -> GridReport:
 
     ``e0`` and ``phi`` are 1-D arrays of equal length, in [0, 1] and
     [-1, 1].  The points run through :func:`_protocol` with the optimal
-    strategy in blocks of ``PROTOCOL_BLOCK``, so peak memory does not grow
-    with the number of points beyond the returned arrays, and each value
+    strategy in the blocks of ``matkernel._blocks``, so peak memory does not
+    grow with the number of points beyond the returned arrays, and each value
     equals the matching :func:`simulate` output bit for bit.  The seed states are
     built here from the range-checked ``e0``, so they are not validated again.
+
+    A point holds (4, 8, 8) outcome blocks of 256 entries, 16 times the
+    entries of a 4x4 matrix, so it counts as 16 matrices and a block holds 32
+    points.  Measured with :func:`_protocol` on 400 random points in a fresh
+    process on a shared 2-CPU host, peak resident memory above one point per
+    block (35.8 MiB): +0.1 MiB at 8 points per block, +0.3 MiB at 32,
+    +1.7 MiB at 128 and +4.8 MiB for all 400 at once.  This function took
+    24 ms for the 400 points at 8 points per block, 12 ms at 32, 12 ms at
+    128 and 11 ms at 400, and about 150 ms at one point per block (each the
+    median of five processes' medians of 14).  After one warm-up call it made
+    no minor page fault at 8 or 32 points per block, and about 1,000 per call
+    at 128 and at 400.  Larger blocks save no time for more peak memory.
     """
     e0, phi = _check_range("e0", e0, 0.0, 1.0), _check_range("phi", phi, -1.0, 1.0)
     if e0.ndim != 1 or e0.shape != phi.shape:
         raise ValueError(f"e0 and phi must be 1-D of equal length, got {e0.shape}, {phi.shape}")
     out = GridReport(np.empty(len(e0)), np.empty(len(e0)), np.empty((len(e0), 4)))
-    for start in range(0, len(e0), PROTOCOL_BLOCK):
-        block = slice(start, start + PROTOCOL_BLOCK)
+    for block in _blocks(len(e0), 16):
         result = _protocol(_seed_states(e0[block]), _werner_states(phi[block]), _OPTIMAL_STRATEGY)
         out.averaged_fidelity[block] = result.averaged_fidelity
         out.final_entanglement[block] = _negativities(result.final_state)[0]

@@ -73,3 +73,30 @@ def test_the_cached_parser_gives_a_fresh_process_bytes_after_failed_calls(tmp_pa
         )
         assert (code, proc.returncode) == (0, 0), (name, proc.stderr)
         assert without_timestamp(here.read_bytes()) == without_timestamp(fresh.read_bytes()), name
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["sweep", "--e0", "--", "--out", "P"], "--e0"),
+        (["sweep", "--phi=--", "--out", "P"], "--phi"),
+        (["curve", "--out=--"], "--out"),
+        (["verify", "--trials", "5", "--out=--"], "--out"),
+    ],
+    ids=["sweep-e0", "sweep-phi", "curve-out", "verify-out"],
+)
+def test_a_lone_double_dash_value_is_a_usage_error(argv, option, tmp_path, monkeypatch, capsys):
+    # argparse reads "--opt=--" (and "--e0 --", which main folds into it) as an
+    # empty list without calling the option's type; a list must not reach a command.
+    def fail(*args):
+        raise AssertionError("a check ran")
+
+    for name in ("check_c1", "check_c2", "check_c3"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as usage_error:
+        main(argv)
+    assert usage_error.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -23,7 +23,10 @@ from entport.entanglement import (
 from entport.information import information_decomposition
 from entport.matkernel import STACK_BLOCK, herm_eigvals, partial_trace
 from entport.states import BOB_CORRECTIONS, WernerChannel, bell_projector, seed_state, werner_state
-from entport.teleport import PROTOCOL_BLOCK, simulate, simulate_grid
+from entport.teleport import simulate, simulate_grid
+
+#: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
+GRID_BLOCK = STACK_BLOCK // 16
 
 I2 = np.eye(2, dtype=complex)
 
@@ -93,7 +96,7 @@ def random_points(n: int):
 
 class TestProtocolEngine:
     @settings(deadline=None, max_examples=40)
-    @given(points=st.lists(st.tuples(E0, PHI), min_size=1, max_size=2 * PROTOCOL_BLOCK + 3))
+    @given(points=st.lists(st.tuples(E0, PHI), min_size=1, max_size=2 * GRID_BLOCK + 3))
     def test_equals_the_outcome_by_outcome_reference(self, points):
         e0, phi = (np.array(values) for values in zip(*points))
         got = engine_values(e0, phi)
@@ -108,7 +111,7 @@ class TestProtocolEngine:
             assert identical(row, reference_point(a, p)), (a, p)
 
     @pytest.mark.parametrize(
-        "n", [1, PROTOCOL_BLOCK - 1, PROTOCOL_BLOCK, PROTOCOL_BLOCK + 1, 2 * PROTOCOL_BLOCK + 1]
+        "n", [1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
     )
     def test_block_boundaries_match_simulate(self, n):
         e0, phi = random_points(n)

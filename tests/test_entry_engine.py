@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entport.matkernel import _kron, adjoint
+from entport.matkernel import STACK_BLOCK, _kron, adjoint
 from entport.states import random_local_unitary, seed_states, werner_states
-from entport.teleport import PROTOCOL_BLOCK, BobStrategy, _protocol, _Protocol, optimal_strategy
+from entport.teleport import BobStrategy, _protocol, _Protocol, optimal_strategy
+
+#: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
+GRID_BLOCK = STACK_BLOCK // 16
 
 #: Edge values of e0 and phi: zero, the smallest subnormal, a subnormal with
 #: most of its bits, the smallest and a tiny normal number, the float just
@@ -72,7 +75,7 @@ def ginibre_states(gen: np.random.Generator, n: int, rank: int) -> np.ndarray:
 
 class TestSameBits:
     @settings(deadline=None, max_examples=60)
-    @given(points=st.lists(st.tuples(E0, PHI), min_size=1, max_size=2 * PROTOCOL_BLOCK + 1))
+    @given(points=st.lists(st.tuples(E0, PHI), min_size=1, max_size=2 * GRID_BLOCK + 1))
     def test_seed_states_through_werner_channels(self, points):
         e0, phi = (np.array(values) for values in zip(*points))
         assert_engines_agree(seed_states(e0), werner_states(phi))
@@ -81,7 +84,7 @@ class TestSameBits:
     @given(
         seed=st.integers(0, 2**32 - 1),
         rank=st.integers(1, 4),
-        phi=st.lists(PHI, min_size=1, max_size=PROTOCOL_BLOCK),
+        phi=st.lists(PHI, min_size=1, max_size=GRID_BLOCK),
     )
     def test_ginibre_inputs(self, seed, rank, phi):
         rho12 = ginibre_states(np.random.default_rng(seed), len(phi), rank)
@@ -93,11 +96,11 @@ class TestSameBits:
         # A Werner state is zero at 10 of its 16 entries, so most products in
         # each outcome's block vanish; a full channel state reaches every one.
         gen = np.random.default_rng(seed)
-        n = 1 + seed % (2 * PROTOCOL_BLOCK)
+        n = 1 + seed % (2 * GRID_BLOCK)
         assert_engines_agree(ginibre_states(gen, n, ranks[0]), ginibre_states(gen, n, ranks[1]))
 
     @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 2**32 - 1), e0=st.lists(E0, min_size=1, max_size=PROTOCOL_BLOCK))
+    @given(seed=st.integers(0, 2**32 - 1), e0=st.lists(E0, min_size=1, max_size=GRID_BLOCK))
     def test_seed_states_through_ginibre_channel_states(self, seed, e0):
         # Unequal probabilities and subnormal entries make each division by p
         # round, so the bits tell whether the trace adds before or after it.
@@ -105,7 +108,7 @@ class TestSameBits:
         assert_engines_agree(seed_states(np.array(e0)), channel_states)
 
     @pytest.mark.parametrize(
-        "n", [1, PROTOCOL_BLOCK - 1, PROTOCOL_BLOCK, PROTOCOL_BLOCK + 1, 2 * PROTOCOL_BLOCK + 1]
+        "n", [1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
     )
     def test_stack_sizes(self, n):
         gen = np.random.default_rng(n)
@@ -121,7 +124,7 @@ class TestHaarRandomCorrections:
     @given(
         seed=st.integers(0, 2**32 - 1),
         rank=st.integers(1, 4),
-        phi=st.lists(PHI, min_size=1, max_size=PROTOCOL_BLOCK),
+        phi=st.lists(PHI, min_size=1, max_size=GRID_BLOCK),
     )
     def test_werner_channels(self, seed, rank, phi):
         gen = np.random.default_rng(seed)
@@ -134,6 +137,6 @@ class TestHaarRandomCorrections:
     def test_ginibre_channel_states(self, seed, ranks):
         gen = np.random.default_rng(seed)
         strategy = BobStrategy(tuple(random_local_unitary(gen) for _ in range(4)))
-        n = 1 + seed % (2 * PROTOCOL_BLOCK)
+        n = 1 + seed % (2 * GRID_BLOCK)
         rho12, channel_states = ginibre_states(gen, n, ranks[0]), ginibre_states(gen, n, ranks[1])
         assert_engines_agree(rho12, channel_states, strategy)

@@ -12,7 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entport.teleport import PROTOCOL_BLOCK, simulate_grid
+from entport.matkernel import STACK_BLOCK
+from entport.teleport import simulate_grid
+
+#: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
+GRID_BLOCK = STACK_BLOCK // 16
 
 EPS = np.finfo(float).eps
 
@@ -33,7 +37,7 @@ PHI = st.one_of(st.sampled_from(PHI_EDGES), st.floats(-1.0, 1.0))
 
 
 @settings(deadline=None, max_examples=60)
-@given(e0=st.lists(E0, min_size=2, max_size=2 * PROTOCOL_BLOCK + 1), phi=PHI)
+@given(e0=st.lists(E0, min_size=2, max_size=2 * GRID_BLOCK + 1), phi=PHI)
 def test_fidelity_does_not_rise_with_e0(e0, phi):
     e0 = np.sort(e0)
     fidelity = simulate_grid(e0, np.full(len(e0), phi)).averaged_fidelity
@@ -41,7 +45,7 @@ def test_fidelity_does_not_rise_with_e0(e0, phi):
 
 
 @settings(deadline=None, max_examples=60)
-@given(points=st.lists(st.tuples(E0, PHI), min_size=1, max_size=2 * PROTOCOL_BLOCK + 1))
+@given(points=st.lists(st.tuples(E0, PHI), min_size=1, max_size=2 * GRID_BLOCK + 1))
 def test_final_entanglement_is_at_most_the_product(points):
     e0, phi = (np.array(values) for values in zip(*points))
     excess = simulate_grid(e0, phi).final_entanglement - e0 * np.maximum(0.0, phi)
@@ -53,7 +57,7 @@ def test_final_entanglement_is_at_most_the_product(points):
     points=st.lists(
         st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
         min_size=1,
-        max_size=2 * PROTOCOL_BLOCK + 1,
+        max_size=2 * GRID_BLOCK + 1,
     )
 )
 def test_final_entanglement_is_positive_when_both_are(points):

@@ -368,10 +368,10 @@ class TestPinnedAxiomValues:
         assert (report.max_violation, report.skip_rate) == PINNED_C3[(seed, branches)]
 
     def test_block_boundaries_change_nothing(self, monkeypatch):
-        import entport.axioms as axioms
+        import entport.matkernel as matkernel
 
         reports = [check_c1(40, 3), check_c2(40, 3), check_c3(40, 3, 3)]
-        monkeypatch.setattr(axioms, "STACK_BLOCK", 7)
+        monkeypatch.setattr(matkernel, "STACK_BLOCK", 7)
         assert [check_c1(40, 3), check_c2(40, 3), check_c3(40, 3, 3)] == reports
 
     @pytest.mark.parametrize(

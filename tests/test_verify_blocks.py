@@ -9,7 +9,7 @@ does not depend on how its trials are blocked.
 import numpy as np
 import pytest
 
-import entport.axioms as axioms
+import entport.matkernel as matkernel
 from entport.axioms import MAX_TRIALS, _generator, _mixtures, _product_states, _weight_rows
 from entport.axioms import check_c1, check_c2, check_c3
 from entport.states import _draw_ball
@@ -68,7 +68,7 @@ def test_c3_report_does_not_depend_on_blocks_smaller_than_a_trial(block, monkeyp
     """A trial at 600 branches holds 1 + 4 * 600 = 2,401 matrices: one trial per
     block at 7 and at ``STACK_BLOCK``, all three trials in one block at 8,192."""
     report = check_c3(3, 600, 5)
-    monkeypatch.setattr(axioms, "STACK_BLOCK", block)
+    monkeypatch.setattr(matkernel, "STACK_BLOCK", block)
     assert check_c3(3, 600, 5) == report
 
 
@@ -91,6 +91,6 @@ def report_bits(report) -> tuple:
 def test_every_report_has_the_bits_of_any_block_size(run, monkeypatch):
     reports = set()
     for block in (7, 100, 512, 4096):
-        monkeypatch.setattr(axioms, "STACK_BLOCK", block)
+        monkeypatch.setattr(matkernel, "STACK_BLOCK", block)
         reports.add(report_bits(run()))
     assert len(reports) == 1, reports
