@@ -20,7 +20,6 @@ docstring says how a trial is drawn, evaluated and folded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -129,14 +128,19 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     matrices, or one trial (a C3 trial at 64 branches or more fills a
     block), so the working set of every check has the same bound and does
     not grow with the trial count.  The count leaves out the raw draws held
-    for the block, which are small next to a C2 or C3 trial's matrices but
-    about 2.1 KB per C1 trial, some 8 matrices' worth.
+    for the block, which are small next to a trial's matrices: 0.9 to 1.0 KB
+    per C1 trial (traced over 1,000 trials), some 4 matrices' worth.
 
     In each block, every trial first makes its generator calls:
     ``draw(gen)`` makes them on trial ``t``'s ``_generator(seed, tag, t)``,
     in the order the trial's construction consumes them, and returns the raw
-    draws as a tuple.  A trial makes the fewest calls that give the same
-    stream: Gaussian draws that follow one another are one
+    draws as a flat tuple of fields, each a number or an array of one shape
+    for every trial of the check: C1's ``(r, radius, w, c0, z)`` (see
+    :func:`_draw_c1`), C2's ``(c0, z, mixed, lam, phi, rotation)`` and C3's
+    ``(c0, z, mixed, lam, phi, raw, measuring_first)``.  Only this driver
+    stacks them, each field once: ``violations`` gets it as one array whose
+    first axis runs over the block's trials.  A trial makes the fewest calls
+    that give the same stream: Gaussian draws that follow one another are one
     ``standard_normal`` call, which gives the same numbers as consecutive
     calls.  So a C2 trial makes 4 or 6 calls and a C3 trial 5 or 7 at any
     branch count; a C1 trial makes ``8 + 4 t`` for a mixture of ``t``
@@ -147,8 +151,8 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     (C1's zero test of each Bloch vector, the mixed-state choice of C2's and
     C3's trial states), C3's side bit, and the cube root of each Bloch
     radius, which numpy's ``power`` rounds differently from Python's ``**``.
-    Everything else runs per block: ``violations(*columns)`` gets the
-    block's draws column by column, and no trial range.  It splits C3's raw
+    Everything else runs per block: ``violations(*fields)`` gets the
+    block's stacked fields, and no trial range.  It splits C3's raw
     Gaussians into Kraus and SU(2) arrays, normalises C1's mixture weights
     and the block's SU(2) and Bloch vectors as stacks, builds the block's
     states, local unitaries and Kraus families as stacks, validates them,
@@ -170,7 +174,7 @@ def _run_trials(tag: int, trials, seed, matrices, draw, violations) -> AxiomRepo
     for block in _blocks(trials, matrices):
         draws = [draw(_generator(seed, tag, t)) for t in range(block.start, block.stop)]
         try:
-            found = violations(*zip(*draws))
+            found = violations(*map(np.array, zip(*draws)))
         except StackItemError as exc:
             label = f"C{tag}, seed {seed}, trial {block.start + exc.index[0]}"
             raise ValueError(f"{label}: {exc.reason}") from exc
@@ -253,72 +257,62 @@ def _draw_test_state(gen: np.random.Generator) -> tuple:
     return c0, z, mixed, lam, phi
 
 
-def _test_states(draws: list[tuple]) -> np.ndarray:
-    """Stack of the trial states of :func:`_draw_test_state` draws."""
-    c0, z, mixed, lam, phi = (np.array(column) for column in zip(*draws))
+def _test_states(c0, z, mixed, lam, phi) -> np.ndarray:
+    """Stack of the trial states of stacked :func:`_draw_test_state` fields."""
     pure = _rotated_pure_states(c0, *_su2_pairs(z))
     lam = lam[:, None, None]
     mixture = lam * pure + (1.0 - lam) * _werner_states(phi)
     return np.where(mixed[:, None, None], mixture, pure)
 
 
-def _product_states(balls) -> np.ndarray:
-    """Stack of ``rho_a (x) rho_b`` from consecutive pairs of :func:`_draw_ball` draws."""
-    r, radius = (np.array(column) for column in zip(*balls))
-    bloch = _bloch_vectors(r, radius).reshape(-1, 2, 3)
-    return _kron(_qubit_states(bloch[:, 0]), _qubit_states(bloch[:, 1]))
-
-
-def _weight_rows(weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n, 4)`` zero-padded rows of ``n`` weight vectors of 2 to 4 terms,
-    and each vector's number of terms."""
-    terms = np.array([len(w) for w in weights])
-    rows = np.zeros((len(weights), 4))
-    rows[np.arange(4) < terms[:, None]] = np.concatenate(weights)
-    return rows, terms
-
-
-def _normalised(rows: np.ndarray) -> np.ndarray:
-    """Each row of :func:`_weight_rows` divided by its sum.
+def _normalised(w: np.ndarray) -> np.ndarray:
+    """Each row of C1's zero-padded ``(n, 4)`` weights divided by its sum.
 
     A row sums in order with its zeros last, so its sum has the bits of the
-    vector's ``w.sum()`` and each weight the bits of ``w / w.sum()``
+    unpadded vector's ``w.sum()`` and each weight the bits of ``w / w.sum()``
     (``np.add.reduceat`` does not give them).
     """
-    return rows / rows.sum(axis=1, keepdims=True)
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def _mixtures(w: np.ndarray, terms: np.ndarray, components: np.ndarray) -> np.ndarray:
-    """Stack of the mixtures ``sum_k w[i, k] * s_k``, one per row of :func:`_weight_rows`,
-    of the row's ``terms[i]`` consecutive components.
+def _mixtures(w: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """Stack of the mixtures ``sum_k w[i, k] * components[i, k]`` of ``(n, 4)`` weights.
 
-    The components are zero-padded to four per row, as the weights are, and
-    each row is Python's ``sum`` of its four terms.  A padded term is
-    ``0.0 * (0+0j) = +0``, and adding ``+0`` changes no ``x`` but ``-0.0``;
-    the sum starts as ``0 + w[i, 0] * s_0``, which never holds ``-0.0``.  So
-    the bits, signed zeros too, are those of ``sum`` over the row's own terms.
+    Each row is Python's ``sum`` of its four terms.  An unused term has
+    weight 0.0 and a finite state, so it is ``+0`` or ``-0``, and adding
+    either changes no ``x`` but ``-0.0``; the sum starts as
+    ``0 + w[i, 0] * s_0``, which never holds ``-0.0``.  So the bits, signed
+    zeros too, are those of ``sum`` over the row's own terms.
     """
-    padded = np.zeros((len(terms), 4, 4, 4), dtype=complex)
-    padded[np.arange(4) < terms[:, None]] = components
-    return sum(w[:, k, None, None] * padded[:, k] for k in range(4))
+    return sum(w[:, k, None, None] * components[:, k] for k in range(4))
 
 
 def _draw_c1(gen: np.random.Generator) -> tuple:
-    """Draws of one C1 trial: two product-state balls, the raw mixture weights
-    and the balls of its product states, and the ``(c0, z)`` of a rotated seed state."""
-    product = [_draw_ball(gen), _draw_ball(gen)]
-    w = gen.random(int(gen.integers(2, 5)))
-    parts = [_draw_ball(gen) for _ in range(2 * len(w))]
-    return product, w, parts, gen.random(), gen.standard_normal(8)
+    """Draws of one C1 trial: ``(r (10, 3), radius (10,), w (4,), c0, z (8,))``.
+
+    ``r`` and ``radius`` are the :func:`_draw_ball` draws of five product
+    states' Bloch vectors, two each: the product state's, then those of the
+    2 to 4 terms of a mixture with raw weights ``w``; ``(c0, z)`` draw a
+    rotated seed state.  A mixture of fewer than 4 terms is padded: its
+    unused weights are 0.0, and its unused balls zero vectors of radius 0.0.
+    """
+    r, radius, w = np.zeros((10, 3)), np.zeros(10), np.zeros(4)
+    r[0], radius[0] = _draw_ball(gen)
+    r[1], radius[1] = _draw_ball(gen)
+    terms = int(gen.integers(2, 5))
+    w[:terms] = gen.random(terms)
+    for i in range(2, 2 + 2 * terms):
+        r[i], radius[i] = _draw_ball(gen)
+    return r, radius, w, gen.random(), gen.standard_normal(8)
 
 
-def _c1_violations(products, weights, parts, c0, z) -> np.ndarray:
+def _c1_violations(r, radius, w, c0, z) -> np.ndarray:
     """Per trial: the product state's and the mixture's measure, and ``|N - c0|``."""
-    separable = _product_states([*chain(*products, *parts)])
-    rows, terms = _weight_rows(weights)
-    mixed = _mixtures(_normalised(rows), terms, separable[len(c0) :])
-    pure = _rotated_pure_states(np.array(c0), *_su2_pairs(z))
-    states = np.stack([separable[: len(c0)], mixed, pure], axis=1)  # (trials, 3, 4, 4)
+    bloch = _bloch_vectors(r, radius).reshape(-1, 5, 2, 3)
+    separable = _kron(_qubit_states(bloch[:, :, 0]), _qubit_states(bloch[:, :, 1]))
+    mixed = _mixtures(_normalised(w), separable[:, 1:])
+    pure = _rotated_pure_states(c0, *_su2_pairs(z))
+    states = np.stack([separable[:, 0], mixed, pure], axis=1)  # (trials, 3, 4, 4)
     product, mixture, rotated = negativities(states).T
     return np.stack([product, mixture, np.abs(rotated - c0)], axis=-1)
 
@@ -328,16 +322,16 @@ def check_c1(trials: int, seed: int) -> AxiomReport:
 
     Per trial: a product state, a mixture of 2 to 4 more product states,
     and a locally rotated seed state with ``c0``.  A trial holds at most 12
-    matrices: its 5 product states, the 4 padded terms of its mixture and
+    matrices: its 5 product states, the 4 weighted terms of its mixture and
     its 3 stacked states.
     """
     return _run_trials(1, trials, seed, 5 + 4 + 3, _draw_c1, _c1_violations)
 
 
-def _c2_violations(states, z) -> np.ndarray:
+def _c2_violations(c0, z, mixed, lam, phi, rotation) -> np.ndarray:
     """Per trial: how far a local rotation moves the trial state's measure."""
-    rho = _test_states(states)
-    u = _kron(*_su2_pairs(z))
+    rho = _test_states(c0, z, mixed, lam, phi)
+    u = _kron(*_su2_pairs(rotation))
     rotated, original = negativities(np.stack([u @ rho @ adjoint(u), rho], axis=1)).T
     return np.abs(rotated - original)
 
@@ -346,7 +340,7 @@ def check_c2(trials: int, seed: int) -> AxiomReport:
     """C2: the measure is unchanged by any local unitary rotation."""
 
     def draw(gen):
-        return _draw_test_state(gen), gen.standard_normal(8)
+        return *_draw_test_state(gen), gen.standard_normal(8)
 
     # A trial holds its state, its local unitary and its rotated pair.
     return _run_trials(2, trials, seed, 1 + 1 + 2, draw, _c2_violations)
@@ -365,12 +359,11 @@ def check_c3(trials: int, branches: int, seed: int) -> AxiomReport:
     skipped = 0
 
     def draw(gen):
-        return _draw_test_state(gen), _draw_lgm_cc(gen, branches)
+        return *_draw_test_state(gen), *_draw_lgm_cc(gen, branches)
 
-    def violations(states, families):
+    def violations(c0, z, mixed, lam, phi, raw, measuring_first):
         nonlocal skipped
-        rho = _test_states(states)[:, None]
-        raw, measuring_first = (np.array(column) for column in zip(*families))
+        rho = _test_states(c0, z, mixed, lam, phi)[:, None]
         v = _kron(*_lgm_cc_operators(*_lgm_cc_arrays(raw), measuring_first))
         incomplete = ~(_completeness_residuals(v) <= COMPLETENESS_ATOL)  # NaN too
         _reject(incomplete, "operator family does not satisfy completeness")

@@ -161,7 +161,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The entry at row ``i * dim(b) + k``, column ``j * dim(b) + l`` is
     ``a[i, j] * b[k, l]``.  Only products of total dimension 4 or 16 are
     allowed; anything larger is rejected.  Stacks broadcast against each
-    other, as in :func:`_kron`.
+    other, as in :func:`_kron`; stacks that do not are a ``ValueError``
+    naming ``a`` and ``b``.
     """
     a = as_operator(a)
     b = as_operator(b)
@@ -170,7 +171,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"tensor product of dims {a.shape[-1]} x {b.shape[-1]} is outside the "
             "supported composite dimensions (4, 16)"
         )
+    _check_broadcast("a and b", a.shape[:-2], b.shape[:-2])
     return _kron(a, b)
+
+
+def _check_broadcast(names: str, *shapes: tuple[int, ...]) -> None:
+    """Raise a ``ValueError`` naming ``names`` unless the leading ``shapes`` broadcast."""
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:  # numpy's own message names no argument
+        listed = ", ".join(map(str, shapes))
+        raise ValueError(f"{names} must broadcast to one leading shape: {listed}") from None
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .matkernel import (
     PSD_ATOL,
     _as_numbers,
+    _check_broadcast,
     _check_count,
     _check_hermitian,
     _check_unit_trace,
@@ -359,10 +360,13 @@ def rotated_pure_state(c0, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Seed state conjugated by the local unitary ``u1 (x) u2``.
 
     Purity and entanglement are those of ``seed_state(c0)``.  ``c0`` may
-    also be an array and ``u1``, ``u2`` matching ``(..., 2, 2)`` stacks,
-    which gives a stack of states.
+    also be an array and ``u1``, ``u2`` ``(..., 2, 2)`` stacks, which gives
+    a stack of states; leading shapes that do not broadcast are a
+    ``ValueError`` naming ``c0``, ``u1`` and ``u2``.
     """
-    return _rotated_pure_states(_check_range("c0", c0, -1.0, 1.0), *map(_check_unitary, (u1, u2)))
+    c0, u1, u2 = _check_range("c0", c0, -1.0, 1.0), _check_unitary(u1), _check_unitary(u2)
+    _check_broadcast("c0, u1 and u2", c0.shape, u1.shape[:-2], u2.shape[:-2])
+    return _rotated_pure_states(c0, u1, u2)
 
 
 def _rotated_pure_states(c0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -452,8 +452,9 @@ def test_a_measurement_family_names_a_ragged_nesting():
 # The public stack builders with a stack outside their domain, as
 # ``(argument, build, bad)``: NaN or infinite entries, a Bloch vector longer
 # than 1, a non-unit SU(2) vector, a wrong last axis and strings; and the
-# Pauli coefficients of ``hs_compose_stack`` and ``HilbertSchmidtForm`` in
-# shapes that do not fit together.
+# Pauli coefficients of ``hs_compose_stack`` and ``HilbertSchmidtForm``, and
+# the stacks of ``tensor`` and ``rotated_pure_state``, in shapes that do not
+# fit together.
 BAD_STACKS = {
     "qubit_states nan": ("r", qubit_states, [math.nan, 0.0, 0.0]),
     "qubit_states inf": ("r", qubit_states, [[0.0, 0.0, 0.5], [0.0, -math.inf, 0.0]]),
@@ -494,6 +495,12 @@ BAD_STACKS = {
         lambda x: HilbertSchmidtForm(x, np.zeros(3), np.zeros((3, 3))),
         np.zeros((1, 3)),
     ),
+    "tensor leading shapes": ("a and b", lambda x: tensor(x, np.stack([ID2, ID2])), [ID2] * 3),
+    "rotated_pure_state leading shapes": (
+        "c0, u1 and u2",
+        lambda x: rotated_pure_state(x, np.stack([ID2, ID2]), ID2),
+        [0.1, 0.2, 0.3],
+    ),
 }
 
 
@@ -501,6 +508,20 @@ BAD_STACKS = {
 def test_stack_builders_reject_a_stack_outside_their_domain(name):
     argument, build, bad = BAD_STACKS[name]
     with pytest.raises(ValueError, match=rf"^(stack item \d+: )?{argument} must "):
+        build(bad)
+
+
+@pytest.mark.parametrize(
+    "name,shapes",
+    [
+        ("tensor leading shapes", "(3,), (2,)"),
+        ("rotated_pure_state leading shapes", "(3,), (2,), ()"),
+    ],
+)
+def test_stacks_that_do_not_broadcast_are_named_with_their_shapes(name, shapes):
+    argument, build, bad = BAD_STACKS[name]
+    message = re.escape(f"{argument} must broadcast to one leading shape: {shapes}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         build(bad)
 
 
@@ -804,7 +825,10 @@ BOUNDARY = {
     "matkernel.StackItemError": RECORD,
     "matkernel.as_operator": ((KERNEL_ENTRY_POINTS, "as_operator"),),
     "matkernel.adjoint": "any numeric array has a conjugate transpose: there is no domain to check",
-    "matkernel.tensor": ((KERNEL_ENTRY_POINTS, "tensor"),),
+    "matkernel.tensor": (
+        (KERNEL_ENTRY_POINTS, "tensor"),
+        (BAD_STACKS, "tensor leading shapes"),
+    ),
     "matkernel.partial_trace": ((KERNEL_ENTRY_POINTS, "partial_trace"), (COUNTS, "keep")),
     "matkernel.partial_transpose": ((KERNEL_ENTRY_POINTS, "partial_transpose"),),
     "matkernel.herm_eigvals": ((KERNEL_ENTRY_POINTS, "herm_eigvals"),),
@@ -839,6 +863,7 @@ BOUNDARY = {
     "states.rotated_pure_state": (
         (ARRAY_ENTRY_POINTS, "c0 rotated_pure_state"),
         (UNITARY_ENTRY_POINTS, "rotated_pure_state"),
+        (BAD_STACKS, "rotated_pure_state leading shapes"),
     ),
     "states.su2_matrices": tuple((BAD_STACKS, k) for k in BAD_STACKS if k.startswith("su2_")),
     "states.random_local_unitary": ((SAMPLERS, "random_local_unitary"),),

@@ -8,17 +8,20 @@ Each block form must give the bits the trial-by-trial form gave.
 import numpy as np
 import pytest
 
-from entport.axioms import _draw_lgm_cc, _lgm_cc_arrays, _normalised, _weight_rows
+from entport.axioms import _draw_lgm_cc, _lgm_cc_arrays, _normalised
 from entport.states import _draw_ball
 
 
 def test_block_normalised_weights_equal_each_trials_w_over_its_sum():
     rng = np.random.default_rng(2024)
-    weights = [rng.random(int(n)) for n in rng.integers(2, 5, size=100_000)]
-    rows, terms = _weight_rows(weights)
+    terms = rng.integers(2, 5, size=100_000)
+    weights = [rng.random(int(n)) for n in terms]
     assert set(terms.tolist()) == {2, 3, 4}
-    normalised = _normalised(rows)
+    # C1's padded rows: each vector's weights, then zeros up to 4 terms.
     present = np.arange(4) < terms[:, None]
+    rows = np.zeros((len(weights), 4))
+    rows[present] = np.concatenate(weights)
+    normalised = _normalised(rows)
     expected = np.concatenate([w / w.sum() for w in weights])
     assert np.array_equal(normalised[present].view(np.int64), expected.view(np.int64))
     assert not normalised[~present].any()

@@ -500,11 +500,11 @@ class TestUnitaryErrorsNameTheTrial:
         "check,pick,run",
         [
             ("C1", lambda d: d[4], lambda: check_c1(100, 7)),  # rotated seed state
-            ("C2", lambda d: d[0][1], lambda: check_c2(100, 7)),  # trial state
-            ("C2", lambda d: d[1], lambda: check_c2(100, 7)),  # the (2, n) rotation pair
-            ("C3", lambda d: d[0][1], lambda: check_c3(100, 2, 7)),  # trial state
+            ("C2", lambda d: d[1], lambda: check_c2(100, 7)),  # trial state
+            ("C2", lambda d: d[5], lambda: check_c2(100, 7)),  # the (2, n) rotation pair
+            ("C3", lambda d: d[1], lambda: check_c3(100, 2, 7)),  # trial state
             # (n, branches) unitaries: the last third of the raw family block
-            ("C3", lambda d: d[1][0].reshape(3, -1)[2], lambda: check_c3(100, 2, 7)),
+            ("C3", lambda d: d[5].reshape(3, -1)[2], lambda: check_c3(100, 2, 7)),
         ],
         ids=["C1-state", "C2-state", "C2-rotation", "C3-state", "C3-family"],
     )
