@@ -19,8 +19,8 @@ from entport.cli import (
 )
 
 
-def main() -> int:
-    outdir = pathlib.Path(__file__).resolve().parent.parent / "results"
+def write_results(outdir: pathlib.Path) -> int:
+    """Write sweep.csv, verify.json and curve.csv into ``outdir``; the worst exit code."""
     outdir.mkdir(exist_ok=True)
 
     grid = SweepGrid(list(DEFAULT_E0_GRID), list(DEFAULT_PHI_GRID))
@@ -34,6 +34,10 @@ def main() -> int:
     print(f"curve  -> {outdir / 'curve.csv'}  (exit {rc_curve})")
 
     return max(rc_sweep, rc_verify, rc_curve)
+
+
+def main() -> int:
+    return write_results(pathlib.Path(__file__).resolve().parent.parent / "results")
 
 
 if __name__ == "__main__":

@@ -339,26 +339,30 @@ def _build_parser() -> argparse.ArgumentParser:
     ``curve``; later calls reuse it.  It is built lazily, not at import, so
     that an import of this module or of the package does not pay for it.
     """
+    # Options are spelled in full: a prefix of one is an unrecognised argument,
+    # whatever its value (``_merge_value_flags`` folds only the full names).
+    full_names = {"allow_abbrev": False}
     parser = argparse.ArgumentParser(
         prog="entport",
         description="Teleportation of one half of an entangled pair through a "
         "noisy Werner channel: sweeps, verification, curve export.",
+        **full_names,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="closed forms vs simulation over a grid")
+    sweep = sub.add_parser("sweep", help="closed forms vs simulation over a grid", **full_names)
     sweep.add_argument("--e0", default=None, help="initial entanglements (list or range)")
     sweep.add_argument("--phi", default=None, help="channel parameters (list or range)")
     sweep.add_argument("--out", required=True, help="output file")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    verify = sub.add_parser("verify", help="axiom suite, oracle grids, fixtures")
+    verify = sub.add_parser("verify", help="axiom suite, oracle grids, fixtures", **full_names)
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=20240801)
     verify.add_argument("--branches", type=int, default=2, help="measurement branches per family")
     verify.add_argument("--out", required=True, help="output JSON file")
 
-    curve = sub.add_parser("curve", help="entropy of entanglement vs negativity")
+    curve = sub.add_parser("curve", help="entropy of entanglement vs negativity", **full_names)
     curve.add_argument("--points", type=int, default=101)
     curve.add_argument("--out", required=True, help="output CSV file")
 
@@ -371,11 +375,8 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     merged = []
     tokens = iter(argv)
     for token in tokens:
-        if token in ("--e0", "--phi"):
-            value = next(tokens, None)
-            merged.append(token if value is None else f"{token}={value}")
-        else:
-            merged.append(token)
+        value = next(tokens, None) if token in ("--e0", "--phi") else None
+        merged.append(token if value is None else f"{token}={value}")
     return merged
 
 

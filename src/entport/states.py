@@ -216,7 +216,7 @@ class WernerChannel:
         return float(_werner_ew(self.phi))
 
     def state(self) -> np.ndarray:
-        return werner_state(self.phi)
+        return _werner_states(np.array(self.phi))
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,10 @@ class BobStrategy:
         object.__setattr__(self, "_support_blocks", tuple(map(_read_only, (ops, adjoint(ops)))))
 
 
+#: The strategy :func:`optimal_strategy` returns and :func:`simulate` uses when given none.
+_OPTIMAL_STRATEGY = BobStrategy(corrections=BOB_CORRECTIONS)
+
+
 def optimal_strategy() -> BobStrategy:
     """The standard corrections: identity, sigma_x, sigma_y, sigma_z.
 
@@ -103,13 +107,10 @@ def optimal_strategy() -> BobStrategy:
     The averaged fidelity is ``f`` times a term the corrections change, which
     these corrections maximise, plus a term no correction changes; so below
     ``phi = -1/2`` they minimise the fidelity instead.  The closed forms
-    describe this strategy at every ``phi``.
+    describe this strategy at every ``phi``.  Every call returns the one
+    read-only strategy, built and checked at import.
     """
-    return BobStrategy(corrections=BOB_CORRECTIONS)
-
-
-#: The strategy :func:`simulate` uses when none is given.
-_OPTIMAL_STRATEGY = optimal_strategy()
+    return _OPTIMAL_STRATEGY
 
 
 @dataclass

@@ -3,6 +3,7 @@
 The parser is cached on first use, so a warm ``main`` call pays only for its
 own work.  A cached parser must not carry anything from one call to the next:
 after failed calls, each command still writes the bytes a fresh process writes.
+Options are spelled in full: a prefix of one fails whatever value follows it.
 """
 
 import argparse
@@ -100,3 +101,30 @@ def test_a_lone_double_dash_value_is_a_usage_error(argv, option, tmp_path, monke
     err = capsys.readouterr().err
     assert f"argument {option}:" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--ph", "0.5", "--e0", "0.5", "--out", "P"],
+        ["sweep", "--ph", "-1:1:3", "--e0", "0.5", "--out", "P"],
+        ["curve", "--po", "5", "--out", "P"],
+    ],
+    ids=["sweep-ph-number", "sweep-ph-range", "curve-po"],
+)
+def test_an_abbreviated_option_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # main folds only the full names --e0 and --phi with their values, so a
+    # prefix must never parse: with "-1:1:3" after it, it could not.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as usage_error:
+        main(argv)
+    assert usage_error.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_full_option_name_takes_a_negative_range(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--phi", "-1:1:3", "--e0", "0.5", "--out", "P"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["P"]

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entport.entanglement import (
-    _entropies,
     _seed_entropies,
     entropy_of_entanglement,
     entropy_vs_negativity_curve,
@@ -192,8 +191,3 @@ class TestCurveCore:
         e = [x for x, _ in curve]
         assert e == np.linspace(0.0, 1.0, 2 * STACK_BLOCK + 1).tolist()
         assert identical([s for _, s in curve], [entropy_of_entanglement(seed_state(x)) for x in e])
-
-    def test_rejects_a_mixed_state_in_a_stack(self):
-        stack = np.array([seed_state(0.2), werner_state(0.5), seed_state(0.9)])
-        with pytest.raises(ValueError, match=r"^stack item 1: .*pure states only"):
-            _entropies(stack)
