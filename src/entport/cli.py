@@ -9,6 +9,8 @@ Subcommands::
 Value lists are comma separated (``0,0.5,1``); ranges are
 ``start:stop:count`` with inclusive endpoints.  CSV output uses '.' as the
 decimal separator, 17 significant digits, a header row and LF line endings.
+JSON sweep output is the bytes of ``json.dump(rows, indent=2, sort_keys=True)``
+and a newline, each float in its shortest round-trip repr.
 Every output is written atomically (a temporary file, then ``os.replace``).
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 """
@@ -134,23 +136,40 @@ def parse_values(text: str) -> list[float]:
     return values
 
 
-def _write_csv(
-    handle: TextIO, header: Sequence[str], rows: int, block: Callable[[slice], Iterable[float]]
-) -> None:
-    """Write the header line, then ``rows`` lines of ``%.17g`` numbers, in blocks.
+def _csv_layout(*header: str) -> tuple[str, str, str, str]:
+    """The table layout of a CSV file: a header line, then one line of ``%.17g`` numbers a row."""
+    return ",".join(header) + "\n", ",".join(["%.17g"] * len(header)), "\n", "\n"
 
-    ``block(s)`` gives the numbers of the rows in slice ``s``, row by row.  The
-    slices are ``matkernel._blocks`` with a row counted as its numbers, so each
-    block of up to ``STACK_BLOCK`` numbers is formatted by one ``%`` of a
-    repeated line template and written by one ``handle.write``, and the table
-    is never held as text.  Blocks of ``STACK_BLOCK`` rows rather than numbers
-    raised the peak resident memory of the 400-row entbench sweep by about
-    0.1 MiB (40.0 against 39.9 MiB, five runs each on a shared 2-CPU host).
+
+def _json_layout(*keys: str) -> tuple[str, str, str, str]:
+    """The table layout of ``json.dump(rows, indent=2)`` and a newline, for rows keyed ``keys``.
+
+    Each number is written as its ``%r``, which for a finite Python float is
+    the shortest round-trip repr, as ``json`` writes it.  The keys are written
+    as given, so none may need a JSON escape or hold a ``%``.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    handle.write(",".join(header) + "\n")
-    for s in _blocks(rows, len(header)):
-        handle.write(line * (s.stop - s.start) % tuple(block(s)))
+    fields = ",\n".join(f'    "{key}": %r' for key in keys)
+    return "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n"
+
+
+def _write_table(
+    handle: TextIO, layout: Sequence[str], rows: int, block: Callable[[slice], Iterable[float]]
+) -> None:
+    """Write ``rows`` rows in ``layout``, which is ``(head, row, separator, tail)``.
+
+    ``row`` has one ``%`` field per number, and ``block(s)`` gives the numbers
+    of the rows in slice ``s``, row by row.  The slices are
+    ``matkernel._blocks`` with a row counted as its numbers, so each block of
+    up to ``STACK_BLOCK`` numbers is formatted by one ``%`` and written by one
+    ``handle.write`` (the head before the first, the tail with the last), and
+    the table is never held as text.  Blocks of rows rather than numbers
+    raised the sweep's peak memory (measured in ``CHANGES.md``).
+    """
+    head, row, separator, tail = layout
+    handle.write(head)
+    for s in _blocks(rows, row.count("%")):
+        end = tail if s.stop == rows else separator
+        handle.write((separator.join([row] * (s.stop - s.start)) + end) % tuple(block(s)))
 
 
 def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
@@ -229,20 +248,15 @@ def cmd_sweep(grid: SweepGrid, out_path: str, fmt: str = "csv") -> int:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     columns, _ = compare(grid)
+    # JSON rows carry their keys sorted, as json.dump(..., sort_keys=True) writes them.
+    keys = SWEEP_COLUMNS if fmt == "csv" else sorted(columns)
+    layout = _csv_layout(*keys) if fmt == "csv" else _json_layout(*keys)
 
     def stacked_rows(rows: slice) -> list[float]:
-        return np.column_stack([column[rows] for column in columns.values()]).ravel().tolist()
+        return np.column_stack([columns[key][rows] for key in keys]).ravel().tolist()
 
     def write(handle):
-        if fmt == "csv":
-            _write_csv(handle, SWEEP_COLUMNS, len(columns["e0"]), stacked_rows)
-        else:
-            # The bytes of json.dump(list_of_row_dicts, indent=2, sort_keys=True),
-            # one row at a time, so the rows are never all held as dicts.
-            for i, row in enumerate(zip(*columns.values())):
-                text = json.dumps(dict(zip(columns, row)), indent=2, sort_keys=True)
-                handle.write(("[\n  " if i == 0 else ",\n  ") + text.replace("\n", "\n  "))
-            handle.write("\n]\n")
+        _write_table(handle, layout, len(columns["e0"]), stacked_rows)
 
     if _write_atomic(out_path, write):
         return 2
@@ -325,7 +339,7 @@ def cmd_curve(points: int, out_path: str) -> int:
     curve = entropy_vs_negativity_curve(points)
 
     def write(handle):
-        _write_csv(handle, ("e", "s"), len(curve), lambda rows: chain.from_iterable(curve[rows]))
+        _write_table(handle, _csv_layout("e", "s"), len(curve), lambda s: chain(*curve[s]))
 
     return _write_atomic(out_path, write)
 
@@ -399,12 +413,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(SweepGrid(e0_values, phi_values), args.out, args.format)
         if args.command == "verify":
             return cmd_verify(args.trials, args.seed, args.out, branches=args.branches)
-        if args.command == "curve":
-            return cmd_curve(args.points, args.out)
+        # The subparsers are required, so any other command is curve.
+        return cmd_curve(args.points, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ TRACE_ATOL = 1e-10
 #: its items holds: a C1-C3 trial the matrices it holds at the peak of its
 #: block (``axioms._run_trials``: C1 12, C2 4, C3 ``1 + 4 * branches``), a
 #: grid point of ``teleport.simulate_grid`` 16, a seed state of the curve's
-#: entropies 1, and a row of ``cli._write_csv`` its numbers (12 in a sweep, 2
+#: entropies 1, and a row of ``cli._write_table`` its numbers (12 in a sweep, 2
 #: in a curve), so each block holds at most this many.  Measured warm at 1,000
 #: trials, seed 7, on a shared 2-CPU host: C1, C2 and C3 peak at 317, 444
 #: and 388 KiB traced (538, 882 and 1,159 KiB when a trial counted only the

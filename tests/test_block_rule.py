@@ -1,9 +1,9 @@
 """Every stacked loop takes its blocks from one rule, ``matkernel._blocks``.
 
 A block holds at most ``matkernel.STACK_BLOCK`` of what its items hold (4x4
-matrices, or numbers for the CSV writer), or one item where an item holds
+matrices, or numbers for the table writer), or one item where an item holds
 more.  The C1-C3 trials, the grid points of ``simulate_grid``, the curve's
-seed states and the rows of the CSV writer are all cut by it, so patching
+seed states and the rows of the table writer are all cut by it, so patching
 ``STACK_BLOCK`` alone must move every loop's blocks, and no other module may
 name the constant.
 """
@@ -60,7 +60,7 @@ def count(monkeypatch, module, name: str, sizes: list[int]) -> None:
 
 
 def csv_rows(monkeypatch, sizes: list[int]) -> None:
-    """Record the rows of every block the CSV writer writes, through the real command."""
+    """Record the rows of every block a CSV table writes, through the real command."""
 
     class Handle:
         def write(self, text: str) -> None:

@@ -9,8 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entport.cli as cli
+import entport.matkernel as matkernel
 from entport.axioms import MAX_TRIALS, check_c1, check_c2, check_c3
 from entport.cli import MAX_GRID_POINTS, SweepGrid, cmd_curve, cmd_verify, main, parse_values
 from entport.matkernel import STACK_BLOCK
@@ -115,7 +118,9 @@ class TestGridCap:
 
 
 class TestJsonSweep:
-    """``sweep --format json`` writes the rows one at a time, with json.dump's bytes."""
+    """``sweep --format json`` writes the rows a block at a time, with json.dump's bytes."""
+
+    SPECIAL = [-0.0, 5e-324, 1e-310, 1.0 - 2.0**-53, 1e300, -1e300, 1e-300, -1e-300]
 
     @pytest.mark.parametrize(
         "grid",
@@ -147,6 +152,44 @@ class TestJsonSweep:
         csv_peak, json_peak = peak("csv"), peak("json")
         assert json_peak <= 1.1 * csv_peak, (csv_peak, json_peak)
 
+    def test_makes_no_call_into_json(self, tmp_path, monkeypatch):
+        grid = SweepGrid(list(cli.DEFAULT_E0_GRID), list(cli.DEFAULT_PHI_GRID))
+        columns, _ = cli.compare(grid)
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        expected = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("the JSON sweep called into json")
+
+        monkeypatch.setattr(json, "dumps", no_json)
+        monkeypatch.setattr(json, "dump", no_json)
+        out = tmp_path / "sweep.json"
+        assert cli.cmd_sweep(grid, str(out), "json") == 0
+        assert out.read_text() == expected
+
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(1, 600),
+        columns=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([7, 512]),
+    )
+    def test_layout_bytes_equal_json_dumps_of_the_rows(self, rows, columns, seed, block):
+        rng = np.random.default_rng(seed)
+        shape = (rows, columns)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        planted = rng.choice(table.size, min(table.size, len(self.SPECIAL)), replace=False)
+        table.flat[planted] = self.SPECIAL[: len(planted)]
+        names = [f"c{i}" for i in range(columns)]
+        order = sorted(range(columns), key=names.__getitem__)  # c0, c1, c10, c11, c2, ...
+        handle = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matkernel, "STACK_BLOCK", block)
+            layout = cli._json_layout(*(names[i] for i in order))
+            cli._write_table(handle, layout, rows, lambda s: table[s][:, order].ravel().tolist())
+        expected = [dict(zip(names, row)) for row in table.tolist()]
+        assert handle.getvalue() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestCsvWriter:
     """``sweep --format csv`` and ``curve`` write through one blocked writer."""
@@ -164,7 +207,7 @@ class TestCsvWriter:
         table.flat[:4], table.flat[-4:] = self.SPECIAL, self.SPECIAL[::-1]
         header = [f"c{i}" for i in range(columns)]
         handle = io.StringIO()
-        cli._write_csv(handle, header, rows, lambda s: table[s].ravel().tolist())
+        cli._write_table(handle, cli._csv_layout(*header), rows, lambda s: table[s].ravel().tolist())
         expected = ",".join(header) + "\n" + "".join(
             ",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()
         )
@@ -225,6 +268,17 @@ class TestAtomicWrites:
         assert on_disk and on_disk[0] >= 1 + STACK_BLOCK
         assert out.read_text() == "previous\n"
         assert names_in(tmp_path) == ["sweep.csv"]
+
+    def test_failed_json_sweep_write_keeps_the_old_output(self, tmp_path, monkeypatch):
+        grid = SweepGrid(parse_values("0:1:25"), parse_values("-1:1:41"))
+        assert len(grid.e0_values) * len(grid.phi_values) == 2 * STACK_BLOCK + 1
+        out = tmp_path / "sweep.json"
+        out.write_text("previous\n")
+        on_disk = fill_the_disk_after_one_block(monkeypatch)
+        assert cli.cmd_sweep(grid, str(out), "json") == 2
+        assert on_disk and on_disk[0] >= 1 + STACK_BLOCK
+        assert out.read_text() == "previous\n"
+        assert names_in(tmp_path) == ["sweep.json"]
 
     def test_failed_verify_write_keeps_the_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "verify.json"
