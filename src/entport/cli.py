@@ -128,6 +128,8 @@ def parse_values(text: str) -> list[float]:
         count = _parse(int, "range count", parts[2])
         if not np.isfinite([start, stop]).all():
             raise ValueError(f"range endpoints must be finite, got {text!r}")
+        if not np.isfinite(stop - start):
+            raise ValueError(f"range width stop - start must be finite, got {text!r}")
         _check_count("range count", count, 1, MAX_RANGE_COUNT)
         return [float(x) for x in np.linspace(start, stop, count)]
     values = [_parse(float, "list value", tok) for tok in s.split(",") if tok.strip()]

@@ -74,15 +74,11 @@ class BobStrategy:
     on particles (1, 2, 3, 4).  ``operators`` is one read-only
     ``(4, 16, 16)`` stack, built once when the strategy is created as one
     stacked Kronecker product of the Bell projector stack and the stacked
-    corrections.  ``_support_blocks`` is the pair that :func:`_protocol`
-    applies: the ``(4, 8, 8)`` blocks ``operators[alpha]`` on the rows and
-    columns ``_SUPPORT[alpha]``, and their adjoint, read-only and built
-    once with ``operators``.
+    corrections.
     """
 
     corrections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     operators: np.ndarray = field(init=False, repr=False, compare=False)
-    _support_blocks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         corrections = tuple(self.corrections) if np.iterable(self.corrections) else ()
@@ -90,10 +86,8 @@ class BobStrategy:
             raise ValueError("corrections must be a sequence of 4 qubit unitaries")
         corrections = tuple(_read_only(_single(_check_unitary(u)).copy()) for u in corrections)
         operators = _read_only(_kron(_kron(ID2, _BELL_PROJECTORS), np.array(corrections)))
-        ops = operators[np.arange(4)[:, None, None], _SUPPORT[:, :, None], _SUPPORT[:, None, :]]
         object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "_support_blocks", tuple(map(_read_only, (ops, adjoint(ops)))))
 
 
 #: The strategy :func:`optimal_strategy` returns and :func:`simulate` uses when given none.
@@ -159,10 +153,10 @@ def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrate
 
     Each outcome's ``op @ (rho12 (x) w34) @ op^dagger`` is formed on the
     8x8 block of ``_SUPPORT``, whose rows and columns are (a, s, d) with s
-    the support pair (b, c); ``op`` and ``op^dagger`` are the strategy's
-    ``_support_blocks``.  Index (a, b, c, d) is ``4 (a, b) + (c, d)``, so
-    the block of ``rho12 (x) w34`` is read straight from the entries of
-    ``rho12`` and ``w34``, at ``_BLOCK_12`` and ``_BLOCK_34``.  Each
+    the support pair (b, c); ``op`` is gathered from the strategy's
+    ``operators`` at ``_SUPPORT``.  Index (a, b, c, d) is
+    ``4 (a, b) + (c, d)``, so the block of ``rho12 (x) w34`` is read straight
+    from the entries of ``rho12`` and ``w34``, at ``_BLOCK_12`` and ``_BLOCK_34``.  Each
     probability is the block's trace, and the trace over particles (2, 3)
     adds its two terms s = 0, 1.  Every outcome has probability exactly 1/4,
     whatever the input and the corrections (the Werner channel's state on
@@ -186,9 +180,9 @@ def _protocol(rho12: np.ndarray, channel_states: np.ndarray, strategy: BobStrate
     are not validated here.
     """
     n = len(rho12)
-    ops, ops_h = strategy._support_blocks
+    ops = strategy.operators[np.arange(4)[:, None, None], _SUPPORT[:, :, None], _SUPPORT[:, None, :]]
     big = rho12[_BLOCK_12] * channel_states[_BLOCK_34]
-    conditioned = ops @ big @ ops_h  # (n, 4, 8, 8)
+    conditioned = ops @ big @ adjoint(ops)  # (n, 4, 8, 8)
     p = conditioned.trace(axis1=-2, axis2=-1).real
     conditioned /= p[..., None, None]
     t = conditioned.reshape(n, 4, 2, 2, 2, 2, 2, 2)
@@ -375,11 +369,12 @@ def correlation_info_from_entanglement(e: float, ew: float) -> float:
     inversion divides by ``ew``); with an unentangled channel the final
     entanglement is identically zero and carries no information about
     ``e0``.  Requires ``e <= ew`` within ``FINAL_ENTANGLEMENT_ATOL``: no
-    final entanglement exceeds the channel's.  Zero if and only if ``e`` is zero.
+    final entanglement exceeds the channel's, so an ``e`` above ``ew`` is
+    roundoff of ``ew`` and is read as ``ew``.  Zero if and only if ``e`` is zero.
     """
     e, ew = _check_number("e", e, 0.0, 1.0), _check_number("ew", ew, 0.0, 1.0)
     if ew == 0.0:
         raise ValueError(f"ew must be positive, got {ew}")
     if e > ew + FINAL_ENTANGLEMENT_ATOL:
         raise ValueError(f"e must not exceed ew, got e = {e}, ew = {ew}")
-    return float(_correlation_info(e, ew))
+    return float(_correlation_info(min(e, ew), ew))

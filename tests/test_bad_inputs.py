@@ -287,6 +287,17 @@ def test_cli_rejects_non_finite_values(flags, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_names_a_range_whose_width_overflows(tmp_path, capsys):
+    # Both endpoints are finite, but stop - start is not: numpy's linspace
+    # would warn and yield nan and inf.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--e0", "0.5", "--phi=-1e308:1e308:3", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'-1e308:1e308:3'" in err
+    assert "Traceback" not in err
+
+
 # Each scalar entry point with one parameter replaced by ``x``; the closed forms
 # take it in either argument.  The other is ew = 0.5 or e = 0.2, so ``ew`` stays
 # positive and ``e`` stays below it, as a final entanglement must, at x = 0.3.
@@ -954,6 +965,7 @@ BOUNDARY = {
     ),
     "cli.parse_values": (
         test_cli_rejects_non_finite_values,
+        test_cli_names_a_range_whose_width_overflows,
         test_cli_rejects_a_range_count_that_is_not_an_integer,
         test_cli_names_the_field_that_is_not_a_number,
     ),

@@ -10,6 +10,8 @@ directory, and they are compared with the committed files.  Only the
 import importlib.util
 from pathlib import Path
 
+from conftest import platform_note
+
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 
@@ -36,7 +38,9 @@ def test_results_reproduce_byte_for_byte(tmp_path, capsys):
         "verify.json",
     ]
     for name in ("sweep.csv", "curve.csv"):
-        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), (
+            f"{name}: {platform_note()}"
+        )
     assert without_timestamp(tmp_path / "verify.json") == without_timestamp(
         RESULTS / "verify.json"
-    )
+    ), platform_note()

@@ -42,7 +42,7 @@ from entport.states import (
     werner_states,
 )
 
-from conftest import random_density_matrix
+from conftest import platform_note, random_density_matrix
 from test_states import HAND_PAULIS, compose_with_call_time_kron
 
 I2 = np.eye(2, dtype=complex)
@@ -359,13 +359,15 @@ PINNED_C3 = {
 class TestPinnedAxiomValues:
     @pytest.mark.parametrize("seed", sorted(PINNED_C1))
     def test_c1_c2(self, seed):
-        assert check_c1(200, seed).max_violation == PINNED_C1[seed]
-        assert check_c2(200, seed).max_violation == PINNED_C2[seed]
+        assert check_c1(200, seed).max_violation == PINNED_C1[seed], platform_note()
+        assert check_c2(200, seed).max_violation == PINNED_C2[seed], platform_note()
 
     @pytest.mark.parametrize("seed,branches", sorted(PINNED_C3))
     def test_c3(self, seed, branches):
         report = check_c3(200, branches, seed)
-        assert (report.max_violation, report.skip_rate) == PINNED_C3[(seed, branches)]
+        assert (report.max_violation, report.skip_rate) == PINNED_C3[(seed, branches)], (
+            platform_note()
+        )
 
     def test_block_boundaries_change_nothing(self, monkeypatch):
         import entport.matkernel as matkernel
@@ -403,7 +405,7 @@ class TestPinnedAxiomValues:
         monkeypatch.setattr(axioms, "_draw_lgm_cc", planted)
         with np.errstate(divide="raise", invalid="raise"):
             report = check_c3(trials, branches, seed)
-        assert (report.max_violation, report.skip_rate) == pinned
+        assert (report.max_violation, report.skip_rate) == pinned, platform_note()
 
 
 def plant_non_psd_state(monkeypatch, builder: str, trial: int) -> None:

@@ -23,6 +23,7 @@ from entport.states import (
 )
 from entport.teleport import (
     _SUPPORT,
+    FINAL_ENTANGLEMENT_ATOL,
     BobStrategy,
     correlation_info_from_entanglement,
     fidelity_closed_form,
@@ -405,6 +406,16 @@ class TestCorrelationInfoFromEntanglement:
         for ew in ews.tolist():
             got = correlation_info_from_entanglement(final_entanglement_closed_form(1.0, ew), ew)
             assert 0.0 <= got <= 2.0 + 1e-12
+
+    def test_an_allowed_excess_over_ew_reads_as_ew(self):
+        # An e up to FINAL_ENTANGLEMENT_ATOL above ew is accepted as roundoff of
+        # ew; read as it is, it gave -inf at (8e-16, 1e-300) and 0.293 at
+        # (1.8e-15, 1e-15), above the value at e0 = 1.
+        for ew in np.logspace(-320, 0, 2_001).tolist():
+            bound = final_information_closed_form(1.0, ew).correlation + 2 * np.finfo(float).eps
+            for e in (ew, np.nextafter(ew, 2.0), ew + FINAL_ENTANGLEMENT_ATOL):
+                got = correlation_info_from_entanglement(min(float(e), 1.0), ew)
+                assert 0.0 <= got <= bound, (e, ew, got)
 
     def test_rejects_unentangled_channel(self):
         with pytest.raises(ValueError):

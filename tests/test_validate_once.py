@@ -118,7 +118,7 @@ def test_optimal_strategy_is_built_and_checked_once(monkeypatch):
     assert optimal_strategy() is strategy
     assert calls == {}
     # Shared between callers, so nothing in it can be written.
-    arrays = (*strategy.corrections, strategy.operators, *strategy._support_blocks)
+    arrays = (*strategy.corrections, strategy.operators)
     assert not any(a.flags.writeable for a in arrays)
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from entport.cli import cmd_verify
 
+from conftest import platform_note
+
 TRIALS = 200
 
 DIGESTS = {
@@ -33,4 +35,4 @@ def test_verify_report_is_pinned(seed, branches, tmp_path):
         for line in out.read_bytes().splitlines(keepends=True)
         if not line.lstrip().startswith(b'"timestamp":')
     )
-    assert hashlib.sha256(kept).hexdigest() == DIGESTS[seed, branches]
+    assert hashlib.sha256(kept).hexdigest() == DIGESTS[seed, branches], platform_note()
