@@ -11,7 +11,8 @@ Value lists are comma separated (``0,0.5,1``); ranges are
 decimal separator, 17 significant digits, a header row and LF line endings.
 JSON sweep output is the bytes of ``json.dump(rows, indent=2, sort_keys=True)``
 and a newline, each float in its shortest round-trip repr.
-Every output is written atomically (a temporary file, then ``os.replace``).
+Every output is written atomically (a temporary file, then ``os.replace``) to
+the file the path resolves to, which must be a regular file if it exists.
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 """
 
@@ -21,6 +22,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -177,19 +179,24 @@ def _write_table(
 def _write_atomic(out_path: str, write: Callable[[TextIO], None]) -> int:
     """Write ``out_path`` through ``write(handle)`` all at once, or not at all.
 
-    The text goes to a new temporary file in the target's directory, which
-    then replaces the target, so a failed write leaves any existing file as
-    it was and no temporary file behind.  Returns 0, or 2 after reporting an
-    I/O error on stderr.
+    The path is resolved first, so a symbolic link keeps pointing at its
+    target and the target gets the text; a target that exists and is not a
+    regular file (a directory, a FIFO, a device) is refused.  The text goes
+    to a new temporary file in the target's directory, whose name does not
+    grow with the target's, which then replaces the target, so a failed
+    write leaves any existing file as it was and no temporary file behind.
+    Returns 0, or 2 after reporting an I/O error on stderr.
     """
-    directory, name = os.path.split(os.path.abspath(out_path))
-    tmp_path = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    target = os.path.realpath(out_path)
+    tmp_path = os.path.join(os.path.dirname(target), f".entport-{os.urandom(8).hex()}.tmp")
     created = False
     try:
+        if os.path.lexists(target) and not stat.S_ISREG(os.stat(target).st_mode):
+            raise OSError(f"{target} is not a regular file")
         with open(tmp_path, "x", newline="") as handle:
             created = True
             write(handle)
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, target)
         created = False
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
@@ -399,7 +406,10 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     """Run one ``entport`` command on ``argv`` (default: the process arguments).
 
-    Returns the exit code.  The parser is :func:`_build_parser`'s: built once
+    Returns the exit code, except on a usage error: argparse reports that on
+    stderr and raises ``SystemExit(2)``.  Every other failure, a bad value or
+    an I/O error, is reported on stderr and returned as a code (see the module
+    docstring).  The parser is :func:`_build_parser`'s: built once
     per process, lazily on the first call so that an import does not pay for
     it, and reused by every later call.
     """

@@ -108,9 +108,21 @@ def entropy_of_entanglement(rho: np.ndarray) -> float:
 def _pure_entropies(rho: np.ndarray) -> np.ndarray:
     """:func:`entropy_of_entanglement` of a ``(..., 4, 4)`` stack of pure states, unchecked.
 
-    One partial trace and one stacked eigensolve.
+    One partial trace, then the spectrum of the reduced states.  If every
+    off-diagonal entry of the stack is exactly zero, as for every seed state,
+    the spectrum is the sorted real diagonal; otherwise one stacked eigensolve
+    gives it.  The two give the same bits on a diagonal stack: there
+    ``(m + m^dagger) / 2`` returns the real diagonal unchanged; zheevd does
+    not scale it, since the largest entry of a unit-trace state is at least
+    1/2; and zhetrd gives tau = 0 and e = 0, so dsterf splits the matrix into
+    1x1 blocks and sorts them ascending.  The eigensolve stays for pure
+    states whose reduced states are not diagonal, such as rotated ones.
     """
-    probs = _herm_eigvals(_partial_trace(rho, keep=0))
+    reduced = _partial_trace(rho, keep=0)
+    if np.all(reduced[..., 0, 1] == 0) and np.all(reduced[..., 1, 0] == 0):
+        probs = np.sort(reduced.diagonal(0, -2, -1).real, axis=-1)
+    else:
+        probs = _herm_eigvals(reduced)
     kept = probs > ENTROPY_EIG_FLOOR
     terms = np.where(kept, probs * np.log2(np.where(kept, probs, 1.0)), 0.0)
     return _nonnegative(-terms.sum(axis=-1))
@@ -124,14 +136,9 @@ def _seed_entropies(e: np.ndarray) -> np.ndarray:
     purity is 1 within 2.2e-16, against ``PURITY_ATOL``): they go to
     :func:`_pure_entropies`.  Blocks of ``STACK_BLOCK`` states
     (``matkernel._blocks`` at one matrix per state) keep peak memory flat
-    in the number of points.
-    Measured on the 2,001 ``curve`` points in a fresh process on a shared
-    2-CPU host, peak resident memory above one state per block (30.7 MiB):
-    one stack of all points +0.7 MiB, blocks of 512 +0.0 MiB, blocks of 128
-    +0.0 MiB; the entropies took 1.8, 1.5 and 2.2 ms, and one state per
-    block 122 ms (each the middle of five processes' medians of 14).  With
-    the purity check of :func:`entropy_of_entanglement`, blocks of 512 took
-    2.1 to 2.5 ms against 1.0 ms in alternating processes.
+    in the number of points.  The timings behind the block size and behind
+    skipping the purity check were taken while the entropy still ran an
+    eigensolve; they are in ``CHANGES.md``.
     """
     out = np.empty(len(e))
     for block in _blocks(len(e), 1):

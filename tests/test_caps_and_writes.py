@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import stat
 import time
 import tracemalloc
 
@@ -306,3 +307,59 @@ class TestAtomicWrites:
         out = tmp_path / "curve.csv"
         assert cmd_curve(2, str(out)) == 0
         assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestOutputTargets:
+    """The output path is resolved first, and only a regular file, or none, is replaced."""
+
+    def test_a_symlink_keeps_pointing_at_its_target_which_gets_the_bytes(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        real = tmp_path / "b" / "real.csv"
+        real.write_text("previous\n")
+        link = tmp_path / "a" / "link.csv"
+        link.symlink_to(os.path.join("..", "b", "real.csv"))
+        assert main(["curve", "--points", "2", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("..", "b", "real.csv")
+        assert real.read_text() == "e,s\n0,0\n1,1\n"
+        assert names_in(tmp_path / "a") == ["link.csv"]
+        assert names_in(tmp_path / "b") == ["real.csv"]
+
+    def test_a_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        assert cmd_curve(2, str(link)) == 0
+        assert link.is_symlink() and (tmp_path / "real.csv").read_text() == "e,s\n0,0\n1,1\n"
+        assert names_in(tmp_path) == ["link.csv", "real.csv"]
+
+    def test_a_fifo_is_refused_and_kept(self, tmp_path, capsys):
+        fifo = tmp_path / "f.csv"
+        os.mkfifo(fifo)
+        assert main(["curve", "--points", "3", "--out", str(fifo)]) == 2
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert names_in(tmp_path) == ["f.csv"]
+        message = f"cannot write {fifo}: {os.path.realpath(fifo)} is not a regular file"
+        assert message in capsys.readouterr().err
+
+    def test_a_directory_is_refused(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        assert main(["curve", "--points", "3", "--out", str(tmp_path / "d")]) == 2
+        assert names_in(tmp_path) == ["d"] and names_in(tmp_path / "d") == []
+        assert "is not a regular file" in capsys.readouterr().err
+
+    def test_an_empty_path_opens_nothing(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda path, *a, **k: opened.append(path), raising=False)
+        assert main(["curve", "--points", "3", "--out", ""]) == 2
+        assert opened == []
+        assert names_in(tmp_path) == ["work"] and names_in(work) == []
+        assert "is not a regular file" in capsys.readouterr().err
+
+    def test_a_name_of_250_bytes_is_written(self, tmp_path):
+        name = "c" * 246 + ".csv"
+        assert cmd_curve(2, str(tmp_path / name)) == 0
+        assert (tmp_path / name).read_text() == "e,s\n0,0\n1,1\n"
+        assert names_in(tmp_path) == [name]

@@ -13,15 +13,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entport.cli as cli
 from entport.entanglement import (
+    _pure_entropies,
     _seed_entropies,
     entropy_of_entanglement,
     entropy_vs_negativity_curve,
     negativity,
 )
 from entport.information import information_decomposition
-from entport.matkernel import STACK_BLOCK, herm_eigvals, partial_trace
-from entport.states import BOB_CORRECTIONS, WernerChannel, bell_projector, seed_state, werner_state
+from entport.matkernel import (
+    STACK_BLOCK,
+    _herm_eigvals,
+    _partial_trace,
+    herm_eigvals,
+    partial_trace,
+)
+from entport.states import (
+    BOB_CORRECTIONS,
+    WernerChannel,
+    bell_projector,
+    rotated_pure_state,
+    seed_state,
+    seed_states,
+    werner_state,
+)
 from entport.teleport import simulate, simulate_grid
 
 #: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
@@ -72,9 +88,27 @@ def simulate_values(e0: float, phi: float) -> list[float]:
 
 def reference_entropy(e: float) -> float:
     """Entropy of entanglement of ``seed_state(e)``, as computed one state at a time."""
-    probs = herm_eigvals(partial_trace(seed_state(e), keep=0))
+    return eigensolve_entropy(seed_state(e))
+
+
+def eigensolve_entropy(rho: np.ndarray) -> float:
+    """Entropy of entanglement of one pure state, its reduced spectrum solved by ``eigvalsh``."""
+    probs = herm_eigvals(partial_trace(rho, keep=0))
     probs = probs[probs > 1e-12]
     return float(max(0.0, -np.sum(probs * np.log2(probs))))
+
+
+def count_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every ``np.linalg.eigvalsh`` call, where ``matkernel`` looks it up."""
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
 
 
 def traced_peak(run, inputs, output_bytes: int) -> int:
@@ -191,3 +225,35 @@ class TestCurveCore:
         e = [x for x, _ in curve]
         assert e == np.linspace(0.0, 1.0, 2 * STACK_BLOCK + 1).tolist()
         assert identical([s for _, s in curve], [entropy_of_entanglement(seed_state(x)) for x in e])
+
+    def test_curve_solves_no_eigenvalues(self, tmp_path, monkeypatch):
+        calls = count_eigvalsh(monkeypatch)
+        entropy_vs_negativity_curve(2 * STACK_BLOCK + 1)
+        assert cli.cmd_curve(2 * STACK_BLOCK + 1, str(tmp_path / "curve.csv")) == 0
+        assert calls == []
+
+    def test_a_reduced_state_off_the_diagonal_takes_the_eigensolve(self, monkeypatch):
+        c, s = np.cos(0.3), np.sin(0.3)
+        rho = rotated_pure_state(0.4, np.array([[c, -s], [s, c]]), np.eye(2))
+        assert partial_trace(rho, keep=0)[0, 1] != 0
+        calls = count_eigvalsh(monkeypatch)
+        got = entropy_of_entanglement(rho)
+        assert calls == [(2, 2)]
+        assert identical(got, eigensolve_entropy(rho))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        e=st.lists(E0, min_size=1, max_size=40),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
+    )
+    def test_the_sorted_diagonal_is_the_eigensolve_bit_for_bit(self, e, phases):
+        # Seed states, and seed states conjugated by X (x) X and by diagonal
+        # phase unitaries: each reduced state is diagonal, so the diagonal rule applies.
+        e, x = np.array(e), np.array([[0.0, 1.0], [1.0, 0.0]])
+        u1, u2 = (np.diag(np.exp(1j * np.array(p))) for p in (phases[:2], phases[2:]))
+        for rho in (seed_states(e), rotated_pure_state(e, x, x), rotated_pure_state(e, u1, u2)):
+            reduced = _partial_trace(rho, keep=0)
+            assert np.all(reduced[..., 0, 1] == 0) and np.all(reduced[..., 1, 0] == 0)
+            diagonal = np.sort(reduced.diagonal(0, -2, -1).real, axis=-1)
+            assert identical(diagonal, _herm_eigvals(reduced))
+            assert identical(_pure_entropies(rho), [eigensolve_entropy(r) for r in rho])
