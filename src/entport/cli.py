@@ -120,7 +120,10 @@ def _parse(kind: type, field: str, token: str):
 
 
 def parse_values(text: str) -> list[float]:
-    """Parse ``a,b,c`` or ``start:stop:count`` into a list of floats."""
+    """Parse ``a,b,c`` or ``start:stop:count`` into a list of floats.
+
+    A range includes both endpoints, so a range of one value must start where it stops.
+    """
     s = text.strip()
     if ":" in s:
         parts = s.split(":")
@@ -133,6 +136,8 @@ def parse_values(text: str) -> list[float]:
         if not np.isfinite(stop - start):
             raise ValueError(f"range width stop - start must be finite, got {text!r}")
         _check_count("range count", count, 1, MAX_RANGE_COUNT)
+        if count == 1 and start != stop:
+            raise ValueError(f"a range of one value must have start == stop, got {text!r}")
         return [float(x) for x in np.linspace(start, stop, count)]
     values = [_parse(float, "list value", tok) for tok in s.split(",") if tok.strip()]
     if not values:

@@ -35,22 +35,20 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 ID2 = _read_only(np.eye(2, dtype=complex))
-SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
-SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 
-#: Pauli matrices in project-wide axis order (x, y, z).
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+#: Pauli matrices in project-wide axis order (x, y, z), as one read-only
+#: ``(3, 2, 2)`` complex stack (sigma_y's entries make it complex);
+#: ``SIGMA_X``, ``SIGMA_Y`` and ``SIGMA_Z`` are its items.
+PAULIS = _read_only(np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]))
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 
-#: The Pauli matrices as one read-only ``(3, 2, 2)`` stack.
-_PAULI_STACK = _read_only(np.array(PAULIS))
-
-#: Pauli-product basis of two-qubit operators, built once and read-only:
-#: ``PAULI_A[n] = sigma_n (x) 1``, ``PAULI_B[n] = 1 (x) sigma_n`` and
-#: ``PAULI_AB[n][m] = sigma_n (x) sigma_m``.
-PAULI_A = tuple(_read_only(_kron(p, ID2)) for p in PAULIS)
-PAULI_B = tuple(_read_only(_kron(ID2, p)) for p in PAULIS)
-PAULI_AB = tuple(tuple(_read_only(_kron(pn, pm)) for pm in PAULIS) for pn in PAULIS)
+#: The Pauli-product basis of two-qubit operators as one read-only
+#: ``(15, 4, 4)`` stack, in the order :func:`hs_compose_stack` adds it and
+#: :func:`hs_decompose` reads it: ``sigma_n (x) 1``, ``1 (x) sigma_n``, then
+#: ``sigma_n (x) sigma_m`` for m = x, y, z, for each n in turn.
+_HS_BASIS = _read_only(
+    np.array([(_kron(p, ID2), _kron(ID2, p), *_kron(p, PAULIS)) for p in PAULIS]).reshape(15, 4, 4)
+)
 
 #: Sign patterns of the four Bell projectors in the Pauli expansion.
 #: Index 0 is the singlet; 1, 2, 3 are the remaining Bell states.
@@ -98,14 +96,15 @@ def _check_range(name: str, values, lo: float, hi: float) -> np.ndarray:
 def _check_number(name: str, x, lo: float, hi: float) -> float:
     """``x`` as a float, if it is one real number in [lo, hi]; the gate of scalar parameters.
 
-    Accepts Python and numpy numbers and 0-d arrays; anything else (an array
-    of several numbers, a string, a complex number) is a ``ValueError``, as
-    is NaN or a value outside [lo, hi].  The number is read as the array
-    gate reads it (see :func:`_as_numbers`): an int or ``Fraction`` beyond the
-    float range counts as the infinity of its sign, so it is out of range.
+    Accepts Python and numpy numbers and 0-d arrays, bools of both kinds
+    among them, as the array gate does; anything else (an array of several
+    numbers, a string, a complex number) is a ``ValueError``, as is NaN or a
+    value outside [lo, hi].  The number is read as the array gate reads it
+    (see :func:`_as_numbers`): an int or ``Fraction`` beyond the float range
+    counts as the infinity of its sign, so it is out of range.
     """
     value = x[()] if isinstance(x, np.ndarray) else x
-    if not isinstance(value, numbers.Real):
+    if not isinstance(value, (numbers.Real, np.bool_)):
         raise ValueError(f"{name} must be a single real number, got {x!r}")
     return float(_check_range(name, value, lo, hi))
 
@@ -246,12 +245,6 @@ def bell_outcome(alpha: int) -> BellOutcome:
         p_matrix=BELL_SIGN_MATRICES[alpha].copy(),
         correction=BOB_CORRECTIONS[alpha].copy(),
     )
-
-
-#: The Pauli-product basis in the order :func:`hs_compose_stack` adds it and
-#: :func:`hs_decompose` reads it: ``sigma_n (x) 1``, ``1 (x) sigma_n``, then
-#: ``sigma_n (x) sigma_m`` for m = x, y, z, for each n in turn.
-_HS_BASIS = tuple(p for n in range(3) for p in (PAULI_A[n], PAULI_B[n], *PAULI_AB[n]))
 
 
 def hs_compose_stack(a, b, c) -> np.ndarray:
@@ -482,8 +475,8 @@ def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
     stacked product, and the nine traces one ``(3, 3)`` stack of products.
     """
     u = _single(_check_unitary(u))
-    conjugated = u @ _PAULI_STACK @ adjoint(u)
-    return (_PAULI_STACK[None] @ conjugated[:, None]).trace(axis1=-2, axis2=-1).real / 2.0
+    conjugated = u @ PAULIS @ adjoint(u)
+    return (PAULIS[None] @ conjugated[:, None]).trace(axis1=-2, axis2=-1).real / 2.0
 
 
 def random_product_state(rng) -> np.ndarray:

@@ -14,7 +14,6 @@ import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entport.axioms import LgmCcFamily, check_c1, check_c2, check_c3, sample_lgm_cc
-from entport.cli import SweepGrid, cmd_sweep, compare, main
+from entport.cli import SweepGrid, cmd_sweep, compare, main, parse_values
 from entport.entanglement import (
     entropy_of_entanglement,
     entropy_vs_negativity_curve,
@@ -80,6 +79,8 @@ from entport.teleport import (
     simulate,
     simulate_grid,
 )
+
+from conftest import ROOT, identical
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -296,6 +297,19 @@ def test_cli_names_a_range_whose_width_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'-1e308:1e308:3'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--e0=0:1:1", "--phi=1:-1:1"])
+def test_cli_names_a_one_value_range_whose_stop_is_not_its_start(option, tmp_path, capsys):
+    # Both endpoints are inclusive; np.linspace would keep the start alone.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", option, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(option.partition("=")[2]) in err
+    assert "Traceback" not in err
+    assert parse_values("0.5:0.5:1") == [0.5]
+    assert identical(parse_values("0:-0:1"), [0.0])
 
 
 # Each scalar entry point with one parameter replaced by ``x``; the closed forms
@@ -552,6 +566,21 @@ def test_scalar_entry_points_accept_numpy_numbers(name):
     expected = plain(SCALAR_ENTRY_POINTS[name](0.3))
     for x in (np.float64(0.3), np.array(0.3)):
         assert plain(SCALAR_ENTRY_POINTS[name](x)) == expected
+
+
+@pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
+def test_scalar_entry_points_read_a_numpy_bool_as_the_python_bool(name):
+    def outcome(x):
+        # A state, a report or a number; or the message of the ValueError raised.
+        try:
+            result = SCALAR_ENTRY_POINTS[name](x)
+        except ValueError as error:
+            return "error", str(error)
+        return "value", result.tolist() if isinstance(result, np.ndarray) else result
+
+    for flag in (True, False):
+        for x in (np.bool_(flag), np.array(flag)):
+            assert outcome(x) == outcome(flag), repr(x)
 
 
 def test_parameters_are_stored_as_floats():
@@ -822,7 +851,7 @@ def test_only_the_gate_tests_a_dtype():
     gate = inspect.getsource(_as_numbers)
     assert pattern.search(gate)  # the scan sees what it looks for
     found = []
-    for path in sorted((Path(__file__).parent.parent / "src" / "entport").glob("*.py")):
+    for path in sorted((ROOT / "src" / "entport").glob("*.py")):
         text = path.read_text().replace(gate, "")
         found += [f"{path.name}: {match.group()}" for match in pattern.finditer(text)]
     assert found == []
@@ -966,6 +995,7 @@ BOUNDARY = {
     "cli.parse_values": (
         test_cli_rejects_non_finite_values,
         test_cli_names_a_range_whose_width_overflows,
+        test_cli_names_a_one_value_range_whose_stop_is_not_its_start,
         test_cli_rejects_a_range_count_that_is_not_an_integer,
         test_cli_names_the_field_that_is_not_a_number,
     ),

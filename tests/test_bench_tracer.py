@@ -14,9 +14,10 @@ import json
 import runpy
 import subprocess
 import sys
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "entbench" / "tracing.py"
+from conftest import ROOT
+
+TRACING = ROOT / "entbench" / "tracing.py"
 
 
 def test_every_traced_function_resolves():

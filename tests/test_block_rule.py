@@ -10,7 +10,6 @@ name the constant.
 
 import ast
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ import entport.matkernel as matkernel
 import entport.teleport as teleport
 from entport.matkernel import _blocks
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
 
 
 @given(n=st.integers(0, 3000), per_item=st.integers(1, 5000), block=st.sampled_from([7, 512]))

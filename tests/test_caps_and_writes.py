@@ -6,7 +6,6 @@ import os
 import re
 import stat
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ import entport.matkernel as matkernel
 from entport.axioms import MAX_TRIALS, check_c1, check_c2, check_c3
 from entport.cli import MAX_GRID_POINTS, SweepGrid, cmd_curve, cmd_verify, main, parse_values
 from entport.matkernel import STACK_BLOCK
+
+from conftest import traced_peak
 
 
 class TestTrialCap:
@@ -42,16 +43,8 @@ class TestTrialCap:
 
     def test_c3_peak_memory_is_flat_in_trials(self):
         check_c3(10, 1, 3)  # first-call set-up inside numpy is not part of the peak
-
-        def peak(trials: int) -> int:
-            tracemalloc.start()
-            try:
-                check_c3(trials, 1, 3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak(2_000), peak(20_000)
+        small = traced_peak(lambda: check_c3(2_000, 1, 3))
+        large = traced_peak(lambda: check_c3(20_000, 1, 3))
         assert large <= 1.1 * small, (small, large)
 
     @pytest.mark.parametrize(
@@ -63,12 +56,7 @@ class TestTrialCap:
         # A block's trials hold at most STACK_BLOCK 4x4 complex matrices, so each
         # check's peak stays within a few such stacks, whatever one trial evaluates.
         run()  # first-call set-up inside numpy is not part of the peak
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run)
         one_stack = STACK_BLOCK * 4 * 4 * np.dtype(complex).itemsize  # 128 KiB
         assert peak <= 4 * one_stack, peak
 
@@ -82,14 +70,12 @@ class TestGridCap:
 
     def test_grid_is_rejected_before_it_is_expanded(self):
         e0, phi = parse_values("0:1:10000"), parse_values("-1:1:10000")
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(ValueError, match=r"grid points must lie in \[1, 100000\]"):
                 SweepGrid(e0, phi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024 * 1024
+
+        assert traced_peak(rejected) < 1024 * 1024
 
     def test_cap_is_on_the_product_of_the_axes(self):
         assert MAX_GRID_POINTS == 250 * 400
@@ -108,14 +94,12 @@ class TestGridCap:
         # it, and compare would expand n times as many points as were counted.
         e0, phi = np.zeros(e0_shape), np.zeros(phi_shape)
         message = re.escape(f"e0 and phi axes must be 1-D, got shapes {e0_shape}, {phi_shape}")
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(ValueError, match=f"^{message}$"):
                 SweepGrid(e0, phi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024 * 1024
+
+        assert traced_peak(rejected) < 1024 * 1024
 
 
 class TestJsonSweep:
@@ -143,12 +127,7 @@ class TestJsonSweep:
         cli.cmd_sweep(SweepGrid([0.5], [0.5]), str(tmp_path / "warm.json"), "json")
 
         def peak(fmt: str) -> int:
-            tracemalloc.start()
-            try:
-                cli.cmd_sweep(grid, str(tmp_path / f"sweep.{fmt}"), fmt)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: cli.cmd_sweep(grid, str(tmp_path / f"sweep.{fmt}"), fmt))
 
         csv_peak, json_peak = peak("csv"), peak("json")
         assert json_peak <= 1.1 * csv_peak, (csv_peak, json_peak)

@@ -2,7 +2,6 @@ import csv
 import json
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,8 @@ from entport.cli import (
     main,
     parse_values,
 )
+
+from conftest import traced_peak
 
 
 def read_csv_rows(path):
@@ -46,14 +47,12 @@ class TestParseValues:
 
     def test_range_count_is_capped_before_allocating(self):
         assert len(parse_values(f"0:1:{MAX_RANGE_COUNT}")) == MAX_RANGE_COUNT
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(ValueError):
                 parse_values("0:1:1000000")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024 * 1024
+
+        assert traced_peak(rejected) < 1024 * 1024
 
 
 class TestSweepGrid:

@@ -15,6 +15,8 @@ import pytest
 from entport import cli
 from entport.cli import main
 
+from conftest import without_timestamp
+
 
 def test_import_builds_no_parser():
     code = "import entport.cli as cli; print(cli._build_parser.cache_info().currsize)"
@@ -40,15 +42,6 @@ def test_main_builds_no_parser_after_its_first_call(tmp_path, monkeypatch, capsy
         main(["curve", "--points", "x", "--out", out])
     assert built == []
     assert cli._build_parser.cache_info().currsize == 1
-
-
-def without_timestamp(data: bytes) -> list[bytes]:
-    """The lines of an output file, less verify's ``"timestamp":`` line."""
-    return [
-        line
-        for line in data.splitlines(keepends=True)
-        if not line.lstrip().startswith(b'"timestamp":')
-    ]
 
 
 def test_the_cached_parser_gives_a_fresh_process_bytes_after_failed_calls(tmp_path, capsys):

@@ -21,6 +21,8 @@ from entport.teleport import (
     simulate,
 )
 
+from conftest import identical
+
 GAP_NAMES = {
     "entanglement_oracle_grid",
     "fidelity_oracle_grid",
@@ -80,13 +82,6 @@ def reference_point(e0, phi):
     return dict(zip(SWEEP_COLUMNS, row)), gaps
 
 
-def assert_same_bits(got, expected, what):
-    expected = np.array(expected, dtype=float)
-    assert got.shape == expected.shape, what
-    assert np.all(got == expected), what
-    assert np.array_equal(np.signbit(got), np.signbit(expected)), what
-
-
 GRIDS = {
     "phi_negative_only": ([0.0, 0.35, 1.0], [-1.0, -0.5, -0.2]),
     "phi_nonnegative_only": ([0.0, 0.6, 1.0], [0.0, 0.3, 1.0]),
@@ -104,12 +99,12 @@ def test_compare_equals_the_per_point_reference(name):
 
     assert list(columns) == list(SWEEP_COLUMNS)
     for column in SWEEP_COLUMNS:
-        assert_same_bits(columns[column], [row[column] for row, _ in reference], column)
+        assert identical(columns[column], [row[column] for row, _ in reference]), column
 
     assert set(gaps) == GAP_NAMES
     for gap in GAP_NAMES:
         expected = [point_gaps[gap] for _, point_gaps in reference if gap in point_gaps]
-        assert_same_bits(gaps[gap], expected, gap)
+        assert identical(gaps[gap], expected), gap
 
 
 def test_negative_zero_phi_reads_the_nonnegative_branch():

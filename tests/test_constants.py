@@ -8,11 +8,10 @@ import numbers
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import entport
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
 
 
 def public_numeric_constants():

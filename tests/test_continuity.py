@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from entport.entanglement import NEGATIVE_EIG_THRESHOLD, negativity
 from entport.states import werner_state
 
-from test_locc_monotonicity import ginibre_state
+from conftest import ginibre_states
 
 #: Allowed excess over the bound.  The measure reads 0 where the lowest
 #: partial-transpose eigenvalue lies at or above -64 eps and twice its size
@@ -53,7 +53,7 @@ def test_c4_across_the_threshold(s, r):
 )
 def test_c4_under_a_small_mixture(seed, rank, log_t):
     gen = np.random.default_rng(seed)
-    rho = ginibre_state(gen, rank)
+    rho = ginibre_states(gen, 1, rank)[0]
     t = 10.0**log_t
-    sigma = (1.0 - t) * rho + t * ginibre_state(gen, 4)
+    sigma = (1.0 - t) * rho + t * ginibre_states(gen, 1, 4)[0]
     assert c4_excess(rho, sigma) <= C4_ALLOWANCE

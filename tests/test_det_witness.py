@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from entport.entanglement import negativity
 from entport.states import werner_state
 
-from conftest import random_global_unitary
-from test_locc_monotonicity import ginibre_state
+from conftest import ginibre_states, random_global_unitary
 
 EPS = np.finfo(float).eps
 
@@ -68,7 +67,7 @@ def test_witness_on_noisy_states_near_the_boundary(seed, rank, log_gap, sign):
     # eigenvalue mu linearly, (1 - t) mu + t / 4; t is chosen to land it at
     # -sign * gap.  The lowest eigenvalue is only the target of the draw: the
     # witness itself reads the determinant.
-    sigma = ginibre_state(np.random.default_rng(seed), rank)
+    sigma = ginibre_states(np.random.default_rng(seed), 1, rank)[0]
     mu = np.linalg.eigvalsh(sigma.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))[0]
     target = -sign * 10.0**log_gap
     assume(mu < target)
@@ -79,4 +78,4 @@ def test_witness_on_noisy_states_near_the_boundary(seed, rank, log_gap, sign):
 @settings(deadline=None, max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_witness_on_ginibre_states(seed, rank):
-    assert_witness_agrees(ginibre_state(np.random.default_rng(seed), rank))
+    assert_witness_agrees(ginibre_states(np.random.default_rng(seed), 1, rank)[0])

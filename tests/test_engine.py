@@ -6,8 +6,6 @@ The references below are written out one point at a time, as the protocol and
 the entropy were computed before they were stacked.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,19 +38,12 @@ from entport.states import (
 )
 from entport.teleport import simulate, simulate_grid
 
-#: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
-GRID_BLOCK = STACK_BLOCK // 16
+from conftest import GRID_BLOCK, identical, traced_peak
 
 I2 = np.eye(2, dtype=complex)
 
 E0 = st.floats(min_value=0.0, max_value=1.0)
 PHI = st.floats(min_value=-1.0, max_value=1.0)
-
-
-def identical(a, b) -> bool:
-    """Equal values and equal sign bits (``np.array_equal`` alone takes -0.0 == 0.0)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def reference_point(e0: float, phi: float) -> list[float]:
@@ -98,28 +89,10 @@ def eigensolve_entropy(rho: np.ndarray) -> float:
     return float(max(0.0, -np.sum(probs * np.log2(probs))))
 
 
-def count_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
-    """Record the shape of every ``np.linalg.eigvalsh`` call, where ``matkernel`` looks it up."""
-    shapes = []
-    real = np.linalg.eigvalsh
-
-    def counted(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return shapes
-
-
-def traced_peak(run, inputs, output_bytes: int) -> int:
+def peak_less_output(run, inputs, output_bytes: int) -> int:
     """Peak traced memory of ``run(*inputs)`` less the ``output_bytes`` it returns."""
     run(*(x[:10] for x in inputs))  # first-call set-up inside numpy is not part of the peak
-    tracemalloc.start()
-    try:
-        run(*inputs)
-        return tracemalloc.get_traced_memory()[1] - output_bytes
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: run(*inputs)) - output_bytes
 
 
 def random_points(n: int):
@@ -163,8 +136,8 @@ class TestProtocolEngine:
 
     def test_peak_memory_is_flat_in_points(self):
         # Outputs: fidelity, negativity and four information parts, float64 each.
-        small = traced_peak(simulate_grid, random_points(1_000), 6 * 8 * 1_000)
-        large = traced_peak(simulate_grid, random_points(10_000), 6 * 8 * 10_000)
+        small = peak_less_output(simulate_grid, random_points(1_000), 6 * 8 * 1_000)
+        large = peak_less_output(simulate_grid, random_points(10_000), 6 * 8 * 10_000)
         assert large <= 1.1 * small, (small, large)
 
     def test_rejects_bad_points(self):
@@ -199,8 +172,8 @@ class TestCurveCore:
         assert not np.signbit(curve[0][1])
 
     def test_peak_memory_is_flat_in_points(self):
-        small = traced_peak(_seed_entropies, [np.linspace(0.0, 1.0, 1_000)], 8 * 1_000)
-        large = traced_peak(_seed_entropies, [np.linspace(0.0, 1.0, 10_000)], 8 * 10_000)
+        small = peak_less_output(_seed_entropies, [np.linspace(0.0, 1.0, 1_000)], 8 * 1_000)
+        large = peak_less_output(_seed_entropies, [np.linspace(0.0, 1.0, 10_000)], 8 * 10_000)
         assert large <= 1.1 * small, (small, large)
 
     def test_curve_states_skip_the_purity_check_only_inside(self, monkeypatch):
@@ -226,19 +199,18 @@ class TestCurveCore:
         assert e == np.linspace(0.0, 1.0, 2 * STACK_BLOCK + 1).tolist()
         assert identical([s for _, s in curve], [entropy_of_entanglement(seed_state(x)) for x in e])
 
-    def test_curve_solves_no_eigenvalues(self, tmp_path, monkeypatch):
-        calls = count_eigvalsh(monkeypatch)
+    def test_curve_solves_no_eigenvalues(self, tmp_path, eigvalsh_shapes):
         entropy_vs_negativity_curve(2 * STACK_BLOCK + 1)
         assert cli.cmd_curve(2 * STACK_BLOCK + 1, str(tmp_path / "curve.csv")) == 0
-        assert calls == []
+        assert eigvalsh_shapes == []
 
-    def test_a_reduced_state_off_the_diagonal_takes_the_eigensolve(self, monkeypatch):
+    def test_a_reduced_state_off_the_diagonal_takes_the_eigensolve(self, eigvalsh_shapes):
         c, s = np.cos(0.3), np.sin(0.3)
         rho = rotated_pure_state(0.4, np.array([[c, -s], [s, c]]), np.eye(2))
         assert partial_trace(rho, keep=0)[0, 1] != 0
-        calls = count_eigvalsh(monkeypatch)
+        assert eigvalsh_shapes == []
         got = entropy_of_entanglement(rho)
-        assert calls == [(2, 2)]
+        assert eigvalsh_shapes == [(2, 2)]
         assert identical(got, eigensolve_entropy(rho))
 
     @settings(deadline=None, max_examples=60)

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entport.matkernel import STACK_BLOCK, _kron, adjoint
+from entport.matkernel import _kron, adjoint
 from entport.states import random_local_unitary, seed_states, werner_states
 from entport.teleport import BobStrategy, _protocol, _Protocol, optimal_strategy
 
-#: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
-GRID_BLOCK = STACK_BLOCK // 16
+from conftest import GRID_BLOCK, ginibre_states, identical
 
 #: Edge values of e0 and phi: zero, the smallest subnormal, a subnormal with
 #: most of its bits, the smallest and a tiny normal number, the float just
@@ -29,16 +28,6 @@ PHI_EDGES = (-1.0, -0.5, 1e-300, -1e-300, -0.0, 0.0, 1.0)
 
 E0 = st.one_of(st.sampled_from(E0_EDGES), st.floats(0.0, 1.0))
 PHI = st.one_of(st.sampled_from(PHI_EDGES), st.floats(-1.0, 1.0))
-
-
-def identical(a, b) -> bool:
-    """Equal shapes, values and sign bits, of the real and the imaginary parts apart."""
-    a, b = np.asarray(a), np.asarray(b)
-    parts = (np.real, np.imag) if np.iscomplexobj(a) or np.iscomplexobj(b) else (np.real,)
-    return a.shape == b.shape and all(
-        np.array_equal(part(a), part(b)) and np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
-        for part in parts
-    )
 
 
 def dense_protocol(rho12, channel_states, strategy) -> _Protocol:
@@ -64,13 +53,6 @@ def assert_engines_agree(rho12, channel_states, strategy=optimal_strategy()):
     block = _protocol(rho12, channel_states, strategy)
     for name in dense._fields:
         assert identical(getattr(block, name), getattr(dense, name)), name
-
-
-def ginibre_states(gen: np.random.Generator, n: int, rank: int) -> np.ndarray:
-    """``n`` density matrices ``g g^dagger / Tr`` of complex Gaussian 4 x rank ``g``."""
-    g = gen.standard_normal((n, 4, rank)) + 1j * gen.standard_normal((n, 4, rank))
-    rho = g @ g.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 class TestSameBits:

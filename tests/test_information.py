@@ -18,7 +18,7 @@ from entport.states import (
     werner_state,
 )
 
-from conftest import random_density_matrix, random_global_unitary
+from conftest import ginibre_states, random_global_unitary
 
 RHO_CC = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 
@@ -86,7 +86,7 @@ class TestTotalInformation:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_invariant_under_global_unitaries(self, seed):
         gen = np.random.default_rng(seed)
-        rho = random_density_matrix(gen, 4)
+        rho = ginibre_states(gen, 1, 4)[0]
         u = random_global_unitary(gen, 4)
         rotated = u @ rho @ adjoint(u)
         assert abs(total_information(rotated) - total_information(rho)) < 1e-10
@@ -129,7 +129,7 @@ class TestInformationDecomposition:
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_decomposition_identity(self, seed):
-        rho = random_density_matrix(np.random.default_rng(seed), 4)
+        rho = ginibre_states(np.random.default_rng(seed), 1, 4)[0]
         r = information_decomposition(rho)
         reconstructed = r.correlation + (2 / 3) * (
             r.individual_a + r.individual_b + r.individual_a * r.individual_b
@@ -139,7 +139,7 @@ class TestInformationDecomposition:
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_ranges(self, seed):
-        rho = random_density_matrix(np.random.default_rng(seed), 4)
+        rho = ginibre_states(np.random.default_rng(seed), 1, 4)[0]
         r = information_decomposition(rho)
         assert -1e-10 <= r.total <= 2.0 + 1e-10
         assert -1e-10 <= r.individual_a <= 1.0 + 1e-10

@@ -22,18 +22,13 @@ from entport.entanglement import negativity
 from entport.states import WernerChannel, random_local_unitary
 from entport.teleport import BobStrategy, simulate
 
+from conftest import ginibre_states
+
 #: Roundoff allowed above the bound.  Each negativity carries the backward
 #: error of one eigensolve of a unit-norm 4x4 matrix, and the conditional
 #: states that of the engine's 16x16 products; where the bound is reached (a
 #: perfect channel with the optimal corrections) the excess measures 3.5 eps.
 LOCC_ROUNDOFF = 256 * np.finfo(float).eps
-
-
-def ginibre_state(gen: np.random.Generator, rank: int) -> np.ndarray:
-    """Random two-qubit density matrix ``g g^dagger / Tr`` of a 4 x rank Ginibre ``g``."""
-    g = gen.standard_normal((4, rank)) + 1j * gen.standard_normal((4, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 @settings(deadline=None, max_examples=200)
@@ -45,7 +40,7 @@ def ginibre_state(gen: np.random.Generator, rank: int) -> np.ndarray:
 )
 def test_averaged_negativity_obeys_both_locc_bounds(seed, rank, phi, optimal):
     gen = np.random.default_rng(seed)
-    rho12 = ginibre_state(gen, rank)
+    rho12 = ginibre_states(gen, 1, rank)[0]
     channel = WernerChannel(phi)
     strategy = None if optimal else BobStrategy(tuple(random_local_unitary(gen) for _ in range(4)))
     report = simulate(rho12, channel, strategy)

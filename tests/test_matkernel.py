@@ -1,5 +1,4 @@
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from entport.matkernel import (
     tensor,
 )
 
-from conftest import random_density_matrix
+from conftest import ROOT, ginibre_states
 
 # Pauli matrices written out by hand so the fixtures are independent of the
 # package's own constants.
@@ -119,7 +118,7 @@ class TestTensor:
         pattern = re.compile(r"np\.kron\(")
         assert pattern.search("np.kron(a, b)")  # the scan sees what it looks for
         found = []
-        for path in sorted((Path(__file__).parent.parent / "src" / "entport").glob("*.py")):
+        for path in sorted((ROOT / "src" / "entport").glob("*.py")):
             for number, line in enumerate(path.read_text().splitlines(), 1):
                 found += [f"{path.name}:{number}: {line.strip()}"] if pattern.search(line) else []
         assert found == []
@@ -128,8 +127,8 @@ class TestTensor:
 class TestPartialTrace:
     def test_product_recovers_first_factor(self, rng):
         for _ in range(10):
-            rho_a = random_density_matrix(rng, 2)
-            rho_b = random_density_matrix(rng, 2)
+            rho_a = ginibre_states(rng, 1, 2, dim=2)[0]
+            rho_b = ginibre_states(rng, 1, 2, dim=2)[0]
             np.testing.assert_allclose(
                 partial_trace(tensor(rho_a, rho_b), keep=0), rho_a, atol=1e-12
             )
@@ -177,7 +176,7 @@ class TestPartialTranspose:
         np.testing.assert_allclose(partial_transpose(partial_transpose(m)), m, atol=0)
 
     def test_product_with_real_symmetric_second_factor(self, rng):
-        rho_a = random_density_matrix(rng, 2)
+        rho_a = ginibre_states(rng, 1, 2, dim=2)[0]
         rho_b = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
         m = tensor(rho_a, rho_b)
         np.testing.assert_allclose(partial_transpose(m), m, atol=1e-15)
@@ -222,13 +221,13 @@ class TestHermEigvals:
 class TestDensityMatrixChecks:
     def test_density_eigs_psd_and_normalised(self, rng):
         for _ in range(30):
-            rho = random_density_matrix(rng, 4)
+            rho = ginibre_states(rng, 1, 4)[0]
             w = herm_eigvals(rho)
             assert w[0] >= -1e-10
             assert abs(w.sum() - 1.0) < 1e-10
 
     def test_check_density_matrix_accepts(self, rng):
-        rho = random_density_matrix(rng, 4)
+        rho = ginibre_states(rng, 1, 4)[0]
         check_density_matrix(rho)
         check_density_matrix(rho, dim=4)
 

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from entport.entanglement import negativities
 from entport.states import random_local_unitary, rotated_pure_state, werner_states
 
+from conftest import ginibre_states
+
 SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 #: Allowed gap between the two measures where a bound holds with equality.
@@ -50,9 +52,7 @@ def concurrence(rho: np.ndarray) -> np.ndarray:
 
 def mixed_states(gen: np.random.Generator, n: int, rank: int) -> np.ndarray:
     """``n`` Ginibre states of ``rank``, every third one mixed with a Werner state."""
-    g = gen.standard_normal((n, 4, rank)) + 1j * gen.standard_normal((n, 4, rank))
-    rho = g @ g.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = ginibre_states(gen, n, rank)
     weight = gen.random(n)[:, None, None]
     mixed = weight * rho + (1.0 - weight) * werner_states(gen.uniform(-1.0, 1.0, n))
     return np.where((np.arange(n) % 3 == 0)[:, None, None], mixed, rho)

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-RESULTS = ROOT / "results"
+from conftest import RESULTS, ROOT
 
 KERNELS = ("Prescott", "SandyBridge", "Haswell")
 

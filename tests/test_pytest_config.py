@@ -9,9 +9,8 @@ ran.  The configuration ignores that one third-party warning.
 
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
 
 PLANTED = '''
 from hypothesis import given, settings

@@ -6,9 +6,9 @@ say how, so a renamed or deleted name must not leave a dangling reference.
 
 import importlib
 import re
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
+
 MODULES = ("axioms", "cli", "entanglement", "information", "matkernel", "states", "teleport")
 REFERENCE = re.compile(rf"(?:entport\.)?({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
 

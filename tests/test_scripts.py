@@ -1,11 +1,11 @@
 """The scripts under ``scripts/`` run from a checkout and print what they promise."""
 
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from conftest import ROOT, load_script
+
+SCRIPTS = ROOT / "scripts"
 
 
 def test_channel_tradeoff_table():
@@ -44,9 +44,7 @@ def test_code_lines():
 
 
 def test_code_lines_prints_a_tests_total():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
-    code_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(code_lines)
+    code_lines = load_script("code_lines")
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "code_lines.py")], capture_output=True, text=True
     )
@@ -60,9 +58,7 @@ def test_code_lines_prints_a_tests_total():
 
 
 def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
-    code_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(code_lines)
+    code_lines = load_script("code_lines")
     source = tmp_path / "m.py"
     source.write_text(
         '"""Module\n\ndocstring."""\n'

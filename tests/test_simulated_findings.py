@@ -12,11 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entport.matkernel import STACK_BLOCK
 from entport.teleport import simulate_grid
 
-#: Points per block of ``simulate_grid``: a point counts as 16 4x4 matrices.
-GRID_BLOCK = STACK_BLOCK // 16
+from conftest import GRID_BLOCK
 
 EPS = np.finfo(float).eps
 

@@ -42,8 +42,7 @@ from entport.states import (
     werner_states,
 )
 
-from conftest import platform_note, random_density_matrix
-from test_states import HAND_PAULIS, compose_with_call_time_kron
+from conftest import HAND_PAULIS, ginibre_states, identical, platform_note, term_by_term
 
 I2 = np.eye(2, dtype=complex)
 
@@ -55,7 +54,7 @@ def mixed_stack(seed: int, size: int) -> np.ndarray:
     for i in range(size):
         kind = i % 4
         if kind == 0:
-            items.append(random_density_matrix(gen, 4))
+            items.append(ginibre_states(gen, 1, 4)[0])
         elif kind == 1:
             items.append(seed_state(gen.uniform(-1.0, 1.0)))
         elif kind == 2:
@@ -203,7 +202,7 @@ class TestBroadcastBuilders:
             a = [0.0, 0.0, math.sqrt(max(0.0, 1.0 - value * value))]
             form = HilbertSchmidtForm(a=a, b=a, c=np.diag([value, -value, 1.0]))
             assert np.array_equal(item, seed_state(value))
-            assert np.array_equal(item, compose_with_call_time_kron(form))
+            assert np.array_equal(item, term_by_term(form.a, form.b, form.c))
 
     @settings(deadline=None, max_examples=50)
     @given(phi=st.lists(unit, min_size=1, max_size=8))
@@ -213,7 +212,7 @@ class TestBroadcastBuilders:
             f = (2.0 * value + 1.0) / 3.0
             form = HilbertSchmidtForm(a=np.zeros(3), b=np.zeros(3), c=-f * np.eye(3))
             assert np.array_equal(item, werner_state(value))
-            assert np.array_equal(item, compose_with_call_time_kron(form))
+            assert np.array_equal(item, term_by_term(form.a, form.b, form.c))
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
@@ -226,7 +225,7 @@ class TestBroadcastBuilders:
         for i in range(size):
             form = HilbertSchmidtForm(a=a[i], b=b[i], c=c[i])
             assert np.array_equal(stack[i], hs_compose(form))
-            assert np.array_equal(stack[i], compose_with_call_time_kron(form))
+            assert np.array_equal(stack[i], term_by_term(form.a, form.b, form.c))
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -274,25 +273,6 @@ class TestBroadcastBuilders:
             assert np.array_equal(q[i], np.linalg.qr(g[i])[0])
 
 
-def raw_bits(x: np.ndarray) -> np.ndarray:
-    """The IEEE words of a float or complex array, so that 0.0 and -0.0 differ."""
-    return np.ascontiguousarray(x).view(np.uint64)
-
-
-def term_by_term(a, b, c) -> np.ndarray:
-    """``(1/4) [1 + sum of coefficient * basis matrix]`` over all 15 Pauli
-    products in ``hs_compose_stack``'s order, zero coefficients included,
-    with every basis matrix built by ``np.kron`` when it is used."""
-    eye2 = np.eye(2, dtype=complex)
-    rho = np.eye(4, dtype=complex)
-    for n in range(3):
-        rho = rho + a[..., n, None, None] * np.kron(HAND_PAULIS[n], eye2)
-        rho = rho + b[..., n, None, None] * np.kron(eye2, HAND_PAULIS[n])
-        for m in range(3):
-            rho = rho + c[..., n, m, None, None] * np.kron(HAND_PAULIS[n], HAND_PAULIS[m])
-    return rho / 4.0
-
-
 # Signed zeros, units, a tiny normal value, the smallest subnormal, the floats
 # next to +-1, phi = -1/2 (where f = 0), then a fine grid over [-1, 1].
 EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324]
@@ -310,13 +290,13 @@ class TestBuilderRawBits:
         a[:, 2] = np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
         c = np.zeros(c0.shape + (3, 3))
         c[:, 0, 0], c[:, 1, 1], c[:, 2, 2] = c0, -c0, 1.0
-        assert np.array_equal(raw_bits(seed_states(c0)), raw_bits(term_by_term(a, a, c)))
+        assert identical(seed_states(c0), term_by_term(a, a, c))
 
     def test_werner_states(self):
         phi = PARAMETER_GRID
         zero = np.zeros(phi.shape + (3,))
         c = -((2.0 * phi + 1.0) / 3.0)[:, None, None] * np.eye(3)
-        assert np.array_equal(raw_bits(werner_states(phi)), raw_bits(term_by_term(zero, zero, c)))
+        assert identical(werner_states(phi), term_by_term(zero, zero, c))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_hs_compose_stack(self, seed):
@@ -324,7 +304,7 @@ class TestBuilderRawBits:
         values = np.array([0.0, -0.0, 0.5, -0.25, 1e-300])
         a, b = gen.choice(values, (2, 2000, 3))
         c = gen.choice(values, (2000, 3, 3))
-        assert np.array_equal(raw_bits(hs_compose_stack(a, b, c)), raw_bits(term_by_term(a, b, c)))
+        assert identical(hs_compose_stack(a, b, c), term_by_term(a, b, c))
 
     def test_hs_decompose(self):
         # Each coefficient is the real part of Tr[rho (basis matrix)], read one by one.
@@ -335,7 +315,7 @@ class TestBuilderRawBits:
             b = [np.trace(rho @ np.kron(I2, p)).real for p in HAND_PAULIS]
             c = [[np.trace(rho @ np.kron(p, q)).real for q in HAND_PAULIS] for p in HAND_PAULIS]
             for got, expected in zip((form.a, form.b, form.c), (a, b, c)):
-                assert np.array_equal(raw_bits(got), raw_bits(np.array(expected)))
+                assert identical(got, expected)
 
 
 # max_violation (C1-C3) and skip_rate (C3) of the scalar per-trial loops

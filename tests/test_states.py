@@ -10,13 +10,11 @@ from entport.states import (
     BELL_SIGN_MATRICES,
     BOB_CORRECTIONS,
     ID2,
-    PAULI_A,
-    PAULI_AB,
-    PAULI_B,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _HS_BASIS,
     HilbertSchmidtForm,
     SeedParams,
     WernerChannel,
@@ -32,7 +30,7 @@ from entport.states import (
     werner_state,
 )
 
-from conftest import random_density_matrix
+from conftest import ginibre_states, term_by_term
 
 KET00_PROJECTOR = np.diag([1.0, 0, 0, 0]).astype(complex)
 
@@ -82,7 +80,7 @@ class TestHilbertSchmidtForm:
 
     def test_round_trip_from_state(self, rng):
         for _ in range(20):
-            rho = random_density_matrix(rng, 4)
+            rho = ginibre_states(rng, 1, 4)[0]
             np.testing.assert_allclose(hs_compose(hs_decompose(rho)), rho, atol=1e-12)
 
     def test_decompose_werner(self):
@@ -327,28 +325,6 @@ def test_tensor_of_paulis_matches_kron():
     np.testing.assert_array_equal(tensor(SIGMA_X, SIGMA_Z), np.kron(SIGMA_X, SIGMA_Z))
 
 
-# Pauli matrices written out by hand, for references that do not read the
-# package's constants.
-HAND_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def compose_with_call_time_kron(form):
-    """hs_compose with every basis operator built by np.kron when it is used."""
-    eye2 = np.eye(2, dtype=complex)
-    rho = np.eye(4, dtype=complex)
-    for n in range(3):
-        rho += form.a[n] * np.kron(HAND_PAULIS[n], eye2)
-        rho += form.b[n] * np.kron(eye2, HAND_PAULIS[n])
-        for m in range(3):
-            if form.c[n, m] != 0.0:
-                rho += form.c[n, m] * np.kron(HAND_PAULIS[n], HAND_PAULIS[m])
-    return rho / 4.0
-
-
 class TestHoistedConstants:
     @settings(deadline=None, max_examples=100)
     @given(
@@ -358,13 +334,10 @@ class TestHoistedConstants:
     )
     def test_compose_equals_call_time_kron_bit_for_bit(self, a, b, c):
         form = HilbertSchmidtForm(a=a, b=b, c=c)
-        assert np.array_equal(hs_compose(form), compose_with_call_time_kron(form))
+        assert np.array_equal(hs_compose(form), term_by_term(form.a, form.b, form.c))
 
     def test_module_constants_are_read_only(self):
-        constants = [
-            ID2, *PAULIS, *PAULI_A, *PAULI_B, *(p for row in PAULI_AB for p in row),
-            *BELL_SIGN_MATRICES, *BOB_CORRECTIONS,
-        ]
+        constants = [ID2, *PAULIS, *_HS_BASIS, *BELL_SIGN_MATRICES, *BOB_CORRECTIONS]
         for m in constants:
             assert not m.flags.writeable
             with pytest.raises(ValueError):

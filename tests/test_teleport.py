@@ -35,8 +35,7 @@ from entport.teleport import (
     simulate,
 )
 
-from conftest import random_density_matrix
-from test_locc_monotonicity import ginibre_state
+from conftest import ginibre_states
 
 E0_GRID = [round(0.1 * i, 10) for i in range(11)]
 PHI_GRID = [-1.0 + 0.25 * i for i in range(9)]
@@ -71,7 +70,7 @@ class TestSimulate:
         # so any input and any corrections give each outcome probability 1/4:
         # the engine never meets an outcome too unlikely to normalise.
         gen = np.random.default_rng(seed)
-        rho = random_density_matrix(gen)
+        rho = ginibre_states(gen, 1, 4)[0]
         strategy = BobStrategy(corrections=tuple(random_local_unitary(gen) for _ in range(4)))
         report = simulate(rho, WernerChannel(phi), strategy)
         np.testing.assert_allclose(report.probabilities, 0.25, rtol=0, atol=1e-12)
@@ -273,7 +272,7 @@ class TestFidelity:
         # For f >= 0 the Pauli corrections maximise F over every strategy; for
         # f < 0 they minimise its f-term, so composing them with sigma_x never loses.
         gen = np.random.default_rng(seed)
-        rho, channel = ginibre_state(gen, rank), WernerChannel(phi)
+        rho, channel = ginibre_states(gen, 1, rank)[0], WernerChannel(phi)
         haar = BobStrategy(tuple(random_local_unitary(gen) for _ in range(4)))
         sigma_x_composed = BobStrategy(tuple(u @ SIGMA_X for u in BOB_CORRECTIONS))
         optimal = fidelity_general(rho, channel, optimal_strategy())

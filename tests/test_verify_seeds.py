@@ -12,7 +12,7 @@ import pytest
 
 from entport.cli import cmd_verify
 
-from conftest import platform_note
+from conftest import platform_note, without_timestamp
 
 TRIALS = 200
 
@@ -30,9 +30,5 @@ DIGESTS = {
 def test_verify_report_is_pinned(seed, branches, tmp_path):
     out = tmp_path / "verify.json"
     assert cmd_verify(TRIALS, seed, str(out), branches=branches) == 0
-    kept = b"".join(
-        line
-        for line in out.read_bytes().splitlines(keepends=True)
-        if not line.lstrip().startswith(b'"timestamp":')
-    )
+    kept = b"".join(without_timestamp(out.read_bytes()))
     assert hashlib.sha256(kept).hexdigest() == DIGESTS[seed, branches], platform_note()
